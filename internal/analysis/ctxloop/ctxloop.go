@@ -24,8 +24,8 @@
 // contract, because every callee that accepts the ctx is itself held to
 // this invariant.
 //
-// A second rule extends the contract to parallel fan-outs (the columnar
-// engine's Prewarm and CandidatesAll pools, sweep.Run, SolveBatch): inside
+// A second rule extends the contract to parallel fan-outs (sweep.Each, the
+// solver path's one CPU pool, and the network fan-outs): inside
 // ANY function whose first parameter is a context.Context — solver-shaped
 // or not — a goroutine launched as `go func() { ... }()` must consult a
 // context in every working loop, typically once per claimed work batch.

@@ -43,7 +43,7 @@ func BenchmarkBestWindowCold(b *testing.B) {
 	})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := BestWindow(context.Background(), in, 0, nil, knapsack.Options{}); err != nil {
+		if _, err := NewEngine(in).BestWindow(context.Background(), 0, nil, knapsack.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -62,7 +62,7 @@ func TestBestWindowMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		in := randInstance(rng, 1+rng.Intn(9), 1, model.Sectors)
 		want := singleAntennaOracle(in)
-		win, err := BestWindow(context.Background(), in, 0, nil, knapsack.Options{})
+		win, err := NewEngine(in).BestWindow(context.Background(), 0, nil, knapsack.Options{})
 		if err != nil {
 			t.Fatalf("BestWindow: %v", err)
 		}
@@ -91,7 +91,7 @@ func TestBestWindowParallelMatchesSequential(t *testing.T) {
 	// identical to the sequential oracle because evaluation is pure.
 	rng := rand.New(rand.NewSource(33))
 	in := randInstance(rng, 60, 1, model.Sectors)
-	win, err := BestWindow(context.Background(), in, 0, nil, knapsack.Options{})
+	win, err := NewEngine(in).BestWindow(context.Background(), 0, nil, knapsack.Options{})
 	if err != nil {
 		t.Fatalf("BestWindow: %v", err)
 	}
@@ -125,7 +125,7 @@ func TestBestWindowRespectsActiveMask(t *testing.T) {
 		model.Sectors,
 	)
 	active := []bool{false, true}
-	win, err := BestWindow(context.Background(), in, 0, active, knapsack.Options{})
+	win, err := NewEngine(in).BestWindow(context.Background(), 0, active, knapsack.Options{})
 	if err != nil {
 		t.Fatalf("BestWindow: %v", err)
 	}
@@ -136,7 +136,7 @@ func TestBestWindowRespectsActiveMask(t *testing.T) {
 
 func TestBestWindowEmptyInstance(t *testing.T) {
 	in := instWith(nil, []model.Antenna{{Rho: 1, Range: 10, Capacity: 10}}, model.Sectors)
-	win, err := BestWindow(context.Background(), in, 0, nil, knapsack.Options{})
+	win, err := NewEngine(in).BestWindow(context.Background(), 0, nil, knapsack.Options{})
 	if err != nil {
 		t.Fatalf("BestWindow: %v", err)
 	}
@@ -151,7 +151,7 @@ func TestBestWindowZeroCapacity(t *testing.T) {
 		[]model.Antenna{{Rho: 1, Range: 10, Capacity: 0}},
 		model.Sectors,
 	)
-	win, err := BestWindow(context.Background(), in, 0, nil, knapsack.Options{})
+	win, err := NewEngine(in).BestWindow(context.Background(), 0, nil, knapsack.Options{})
 	if err != nil {
 		t.Fatalf("BestWindow: %v", err)
 	}

@@ -14,13 +14,12 @@ package angular
 import (
 	"context"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"sectorpack/internal/cols"
 	"sectorpack/internal/geom"
 	"sectorpack/internal/knapsack"
 	"sectorpack/internal/model"
+	"sectorpack/internal/sweep"
 )
 
 // Candidates returns the candidate start angles for the given antenna:
@@ -45,12 +44,11 @@ func Candidates(in *model.Instance, antenna int) []float64 {
 // radial pre-filter, and on large instances the per-antenna work fans out
 // across Workers() goroutines. The merge is deterministic — antenna j's
 // slice lands at index j and is a pure function of the view — so the
-// output is identical to calling Candidates(in, j) for each j, on either
-// the scalar or the parallel path.
+// output is identical to calling Candidates(in, j) for each j, on one
+// worker or many.
 //
-// Cancellation: ctx is consulted once per antenna on the scalar path and
-// once per claimed antenna by each worker on the parallel path; a
-// cancelled call returns ctx.Err() and no slices.
+// Cancellation: ctx is consulted before every antenna; a cancelled call
+// returns ctx.Err() and no slices.
 func CandidatesAll(ctx context.Context, in *model.Instance) ([][]float64, error) {
 	m := len(in.Antennas)
 	out := make([][]float64, m)
@@ -58,51 +56,17 @@ func CandidatesAll(ctx context.Context, in *model.Instance) ([][]float64, error)
 		return out, ctx.Err()
 	}
 	v := cols.New(in)
-	build := func(j int, pos []int32) []int32 {
-		pos = v.AppendEligible(in.Antennas[j], pos[:0])
-		angles := make([]float64, len(pos))
-		for t, p := range pos {
+	workers := min(antennaWorkers(v.Len(), m), m)
+	pos := make([][]int32, workers) // per-worker eligible-position buffer
+	if sweep.Each(ctx, m, workers, func(w, j int) {
+		pos[w] = v.AppendEligible(in.Antennas[j], pos[w][:0])
+		angles := make([]float64, len(pos[w]))
+		for t, p := range pos[w] {
 			angles[t] = v.Theta[p] // ascending: positions are theta-sorted
 		}
 		out[j] = dedupAngles(angles)
-		return pos
-	}
-	workers := Workers()
-	if workers > m {
-		workers = m
-	}
-	if workers <= 1 || v.Len()*m < prewarmParallelMin {
-		var pos []int32
-		for j := 0; j < m; j++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			pos = build(j, pos)
-		}
-		return out, nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var pos []int32
-			for {
-				if ctx.Err() != nil {
-					return // consult ctx once per claimed antenna
-				}
-				j := int(next.Add(1)) - 1
-				if j >= m {
-					return
-				}
-				pos = build(j, pos)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	}) < m {
+		return nil, ctx.Err()
 	}
 	return out, nil
 }

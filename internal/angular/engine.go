@@ -1,9 +1,11 @@
 package angular
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,6 +13,7 @@ import (
 	"sectorpack/internal/cols"
 	"sectorpack/internal/knapsack"
 	"sectorpack/internal/model"
+	"sectorpack/internal/sweep"
 )
 
 // maxWorkersVar caps the worker count of every parallel path in this
@@ -148,10 +151,20 @@ func candidatesFromSweep(s *Sweep) []float64 {
 	return out
 }
 
-// prewarmParallelMin gates Prewarm's fan-out: below this much total work
-// (customers × antennas) goroutine spawn costs more than it saves and the
-// serial loop is used. The threshold never changes results, only cost.
+// prewarmParallelMin gates the per-antenna fan-outs (Prewarm,
+// CandidatesAll): below this much total work (customers × antennas)
+// goroutine spawn costs more than it saves and one worker runs inline. The
+// threshold never changes results, only cost.
 const prewarmParallelMin = 1 << 14
+
+// antennaWorkers is the pool size for a per-antenna fan-out over n
+// customers and m antennas.
+func antennaWorkers(n, m int) int {
+	if n*m < prewarmParallelMin {
+		return 1
+	}
+	return Workers()
+}
 
 // Prewarm builds every antenna's sweep and candidate list up front,
 // fanning the per-antenna builds across Workers() goroutines on large
@@ -160,48 +173,19 @@ const prewarmParallelMin = 1 << 14
 // and the antenna, never on scheduling, so a prewarmed engine is
 // bit-identical to one that built sweeps lazily — and to the scalar path.
 //
-// Cancellation: each worker consults ctx before every antenna it claims;
-// on cancellation the already-built sweeps are kept (they are valid
-// caches) and ctx.Err() is returned.
+// Cancellation: ctx is consulted before every antenna; on cancellation the
+// already-built sweeps are kept (they are valid caches) and ctx.Err() is
+// returned.
 func (e *Engine) Prewarm(ctx context.Context) error {
 	m := len(e.sweeps)
 	if m == 0 {
 		return ctx.Err()
 	}
 	view := e.View() // built serially, before the fan-out
-	workers := Workers()
-	if workers > m {
-		workers = m
+	if sweep.Each(ctx, m, antennaWorkers(view.Len(), m), func(_, j int) { e.prewarmAntenna(view, j) }) < m {
+		return ctx.Err()
 	}
-	if workers <= 1 || view.Len()*m < prewarmParallelMin {
-		for j := 0; j < m; j++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			e.prewarmAntenna(view, j)
-		}
-		return nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return // consult ctx once per claimed antenna
-				}
-				j := int(next.Add(1)) - 1
-				if j >= m {
-					return
-				}
-				e.prewarmAntenna(view, j)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
+	return nil
 }
 
 // prewarmAntenna fills antenna j's sweep and candidate slots if still
@@ -280,7 +264,7 @@ func (e *Engine) BestWindowAt(ctx context.Context, antenna int, alphas []float64
 }
 
 // parallelThreshold is the candidate count below which the fan-out is not
-// worth its synchronization cost.
+// worth its synchronization cost and one worker runs inline.
 const parallelThreshold = 16
 
 // evaluate runs the prune-and-solve loop over e.wins and folds the
@@ -289,10 +273,11 @@ const parallelThreshold = 16
 // its orientation at profit 0, preserving BestWindow's historical
 // all-empty behavior).
 //
-// ctx is checked once per candidate in both the serial and the parallel
-// path; on cancellation the partial fold is abandoned and ctx.Err() is
-// returned. With a never-cancelled ctx every branch below behaves exactly
-// as before the context was threaded through.
+// Candidates are claimed one at a time in descending-bound order, on one
+// worker or many, so every worker starts on the highest bounds still
+// unclaimed and the shared incumbent prunes the low-bound tail early. ctx
+// is checked before every claim; on cancellation the partial fold is
+// abandoned and ctx.Err() is returned.
 func (e *Engine) evaluate(ctx context.Context, s *Sweep, capacity int64, active []bool, opt knapsack.Options, skipEmpty bool) (Window, error) {
 	nc := len(e.wins)
 	if cap(e.order) < nc {
@@ -308,12 +293,11 @@ func (e *Engine) evaluate(ctx context.Context, s *Sweep, capacity int64, active 
 	}
 	// Descending bound, ties by original candidate order: the highest
 	// upper bound is the best chance to raise the incumbent early.
-	sort.Slice(e.order, func(x, y int) bool {
-		a, b := e.order[x], e.order[y]
-		if e.wins[a].bound != e.wins[b].bound {
-			return e.wins[a].bound > e.wins[b].bound
+	slices.SortFunc(e.order, func(a, b int32) int {
+		if c := cmp.Compare(e.wins[b].bound, e.wins[a].bound); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 
 	// best is the highest profit of any solved candidate so far; −1 until
@@ -327,48 +311,18 @@ func (e *Engine) evaluate(ctx context.Context, s *Sweep, capacity int64, active 
 	best.Store(-1)
 
 	workers := Workers()
-	if nc < parallelThreshold || workers <= 1 {
-		sc := evalPool.Get().(*evalScratch)
-		for _, k := range e.order {
-			if ctx.Err() != nil {
-				break
-			}
-			if e.wins[k].bound < best.Load() {
-				continue
-			}
-			e.solve(s, int(k), capacity, active, opt, &best, sc)
-		}
-		evalPool.Put(sc)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		if workers > nc {
-			workers = nc
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := evalPool.Get().(*evalScratch)
-				defer evalPool.Put(sc)
-				for {
-					if ctx.Err() != nil {
-						return
-					}
-					i := int(next.Add(1)) - 1
-					if i >= nc {
-						return
-					}
-					k := e.order[i]
-					if e.wins[k].bound < best.Load() {
-						continue
-					}
-					e.solve(s, int(k), capacity, active, opt, &best, sc)
-				}
-			}()
-		}
-		wg.Wait()
+	if nc < parallelThreshold {
+		workers = 1
 	}
+	sweep.Each(ctx, nc, workers, func(_, i int) {
+		k := e.order[i]
+		if e.wins[k].bound < best.Load() {
+			return
+		}
+		sc := evalPool.Get().(*evalScratch)
+		e.solve(s, int(k), capacity, active, opt, &best, sc)
+		evalPool.Put(sc)
+	})
 	if err := ctx.Err(); err != nil {
 		return Window{}, err
 	}
@@ -391,7 +345,8 @@ func (e *Engine) evaluate(ctx context.Context, s *Sweep, capacity int64, active 
 	return clampEmpty(acc), nil
 }
 
-// evalScratch is a worker's reusable id/item workspace.
+// evalScratch is a reusable id/item workspace, borrowed from evalPool for
+// one candidate at a time so evaluation allocates nothing in steady state.
 type evalScratch struct {
 	ids   []int
 	items []knapsack.Item

@@ -1,10 +1,13 @@
 package angular
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"sectorpack/internal/cols"
 	"sectorpack/internal/geom"
+	"sectorpack/internal/knapsack"
 	"sectorpack/internal/model"
 )
 
@@ -75,30 +78,17 @@ func newSweepFromView(v *cols.View, a model.Antenna) *Sweep {
 		s.density[t] = int32(t)
 	}
 	// Dantzig order: profit/weight descending, zero-weight (infinite
-	// density) first, ties by higher profit then position — the same
-	// comparator as knapsack's byDensity, with an explicit final tie-break
-	// so the order (and therefore every computed bound) is deterministic.
-	sort.Slice(s.density, func(x, y int) bool {
-		a, b := s.density[x], s.density[y]
-		wa, wb := s.weights[a], s.weights[b]
-		pa, pb := s.profits[a], s.profits[b]
-		if wa == 0 || wb == 0 {
-			if wa == 0 && wb == 0 {
-				if pa != pb {
-					return pa > pb
-				}
-				return a < b
-			}
-			return wa == 0
+	// density) first, ties by higher profit then position — knapsack's
+	// density comparator with an explicit final tie-break, so the order
+	// (and therefore every computed bound) is deterministic.
+	slices.SortFunc(s.density, func(a, b int32) int {
+		if c := knapsack.CompareDensity(s.profits[a], s.weights[a], s.profits[b], s.weights[b]); c != 0 {
+			return c
 		}
-		lhs, rhs := pa*wb, pb*wa
-		if lhs != rhs {
-			return lhs > rhs
+		if c := cmp.Compare(s.profits[b], s.profits[a]); c != 0 {
+			return c
 		}
-		if pa != pb {
-			return pa > pb
-		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	return s
 }

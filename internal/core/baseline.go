@@ -2,9 +2,10 @@ package core
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"sectorpack/internal/geom"
+	"sectorpack/internal/knapsack"
 	"sectorpack/internal/model"
 )
 
@@ -53,9 +54,9 @@ func SolveBaseline(ctx context.Context, in *model.Instance, opt Options) (model.
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ca, cb := in.Customers[order[a]], in.Customers[order[b]]
-		return ca.Profit*cb.Demand > cb.Profit*ca.Demand
+	slices.SortStableFunc(order, func(a, b int) int {
+		ca, cb := in.Customers[a], in.Customers[b]
+		return knapsack.CompareDensity(ca.Profit, ca.Demand, cb.Profit, cb.Demand)
 	})
 	load := make([]int64, m)
 	for _, i := range order {

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"sectorpack/internal/model"
+	"sectorpack/internal/sweep"
 )
 
 // BatchOptions tunes SolveBatch.
@@ -27,18 +27,11 @@ type BatchOptions struct {
 	Hedged bool
 }
 
-func (o BatchOptions) workers(items int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+func (o BatchOptions) workers() int {
+	if o.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	if w > items {
-		w = items
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return o.Workers
 }
 
 func (o BatchOptions) solverName() string {
@@ -66,37 +59,23 @@ type BatchResult struct {
 // an uncancelled, non-hedged item is bit-identical to calling the solver
 // directly.
 //
-// Cancelling ctx stops the batch: items not yet started (and items whose
-// solver honors cancellation) report ctx's error.
+// Items start in input order on a sweep.Each pool. Cancelling ctx stops
+// the batch: items not yet started (and items whose solver honors
+// cancellation) report ctx's error.
 func SolveBatch(ctx context.Context, ins []*model.Instance, solver Solver, opt BatchOptions) []BatchResult {
 	results := make([]BatchResult, len(ins))
 	if len(ins) == 0 {
 		return results
 	}
 	name := opt.solverName()
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < opt.workers(len(ins)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				start := time.Now()
-				sol, err := solveBatchItem(ctx, ins[i], solver, name, opt)
-				results[i] = BatchResult{Solution: sol, Err: err, Elapsed: time.Since(start)}
-			}
-		}()
+	ran := sweep.Each(ctx, len(ins), opt.workers(), func(_, i int) {
+		start := time.Now()
+		sol, err := solveBatchItem(ctx, ins[i], solver, name, opt)
+		results[i] = BatchResult{Solution: sol, Err: err, Elapsed: time.Since(start)}
+	})
+	for i := ran; i < len(ins); i++ {
+		results[i] = BatchResult{Err: ctx.Err()}
 	}
-	for i := range ins {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			start := time.Now()
-			results[i] = BatchResult{Err: ctx.Err(), Elapsed: time.Since(start)}
-		}
-	}
-	close(work)
-	wg.Wait()
 	return results
 }
 

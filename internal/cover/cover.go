@@ -117,8 +117,9 @@ func Greedy(ctx context.Context, customers []model.Customer, typ AntennaType) (R
 	for i := range active {
 		active[i] = true
 	}
+	eng := angular.NewEngine(in)
 	for remaining > 0 {
-		win, err := angular.BestWindow(ctx, in, 0, active, knapsack.Options{})
+		win, err := eng.BestWindow(ctx, 0, active, knapsack.Options{})
 		if err != nil {
 			return Result{}, err
 		}

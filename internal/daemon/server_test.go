@@ -152,6 +152,26 @@ func TestSolveBadRequests(t *testing.T) {
 	}
 }
 
+// TestSolveRejectsOutOfDomain: an instance past the numeric domain (here a
+// total profit just over 2^53) is a 400 whose message names the limit, not
+// a silently wrapped answer.
+func TestSolveRejectsOutOfDomain(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{}).Handler())
+	defer ts.Close()
+	in := sectorsInstance()
+	in.Customers[0].Profit = model.MaxMagnitude
+	for _, solver := range []string{"greedy", "exact"} {
+		resp, body := postSolve(t, ts.Client(), ts.URL, solveBody(t, solver, in, nil))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d (want 400), body %s", solver, resp.StatusCode, body)
+		}
+		var er errorResponse
+		if err := json.Unmarshal(body, &er); err != nil || !strings.Contains(er.Error, "MaxMagnitude = 2^53") {
+			t.Errorf("%s: error %q does not name the 2^53 limit (%v)", solver, er.Error, err)
+		}
+	}
+}
+
 func TestSolveAllowlist(t *testing.T) {
 	ts := httptest.NewServer(NewServer(Config{Allowed: []string{"greedy"}}).Handler())
 	defer ts.Close()

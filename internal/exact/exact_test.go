@@ -2,6 +2,7 @@ package exact
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -132,7 +133,7 @@ func TestSolveMatchesBestWindowSingleAntenna(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Solve: %v", err)
 		}
-		win, err := angular.BestWindow(context.Background(), in, 0, nil, knapsack.Options{})
+		win, err := angular.NewEngine(in).BestWindow(context.Background(), 0, nil, knapsack.Options{})
 		if err != nil {
 			t.Fatalf("BestWindow: %v", err)
 		}
@@ -264,5 +265,30 @@ func TestSolveParallelSingleAntenna(t *testing.T) {
 	}
 	if par.Profit != seq.Profit {
 		t.Fatalf("m=1 fallback mismatch: %d vs %d", par.Profit, seq.Profit)
+	}
+}
+
+// TestScalarVsParallelSolveParallel: the branch fan-out must return the
+// very solution Solve does — profit, orientations and owners — whether the
+// first antenna's branches run on one worker or many, so ties keep
+// breaking by the first antenna's candidate order.
+func TestScalarVsParallelSolveParallel(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	for trial := 0; trial < 12; trial++ {
+		in := randInstance(rng, 4+rng.Intn(6), 2+rng.Intn(2), model.Sectors)
+		seq, err := Solve(context.Background(), in, Limits{})
+		if err != nil {
+			t.Fatalf("Solve: %v", err)
+		}
+		want := fmt.Sprintf("%d %v %v", seq.Profit, seq.Assignment.Orientation, seq.Assignment.Owner)
+		for _, workers := range []int{1, 8} {
+			par, err := SolveParallel(context.Background(), in, Limits{}, workers)
+			if err != nil {
+				t.Fatalf("SolveParallel(%d): %v", workers, err)
+			}
+			if got := fmt.Sprintf("%d %v %v", par.Profit, par.Assignment.Orientation, par.Assignment.Owner); got != want {
+				t.Fatalf("trial %d, %d workers:\n got  %s\n want %s", trial, workers, got, want)
+			}
+		}
 	}
 }

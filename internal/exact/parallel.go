@@ -39,7 +39,7 @@ func SolveParallel(ctx context.Context, in *model.Instance, lim Limits, workers 
 			return solve(jctx, in, lim, []float64{alpha})
 		}
 	}
-	results, err := sweep.Run(ctx, jobs, sweep.Options{Workers: workers})
+	results, err := sweep.Run(ctx, jobs, workers)
 	if err != nil {
 		return model.Solution{}, err
 	}

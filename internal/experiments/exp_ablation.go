@@ -81,7 +81,7 @@ func runE11(opt Options) (Report, error) {
 		if err != nil {
 			return pair{}, err
 		}
-		win, err := angular.BestWindow(context.Background(), in, 0, nil, knapsack.Options{})
+		win, err := angular.NewEngine(in).BestWindow(context.Background(), 0, nil, knapsack.Options{})
 		if err != nil {
 			return pair{}, err
 		}

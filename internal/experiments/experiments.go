@@ -149,7 +149,7 @@ func runSolver(name string, in *model.Instance, opt core.Options) (solveOutcome,
 func parallelMap[In, Out any](opt Options, inputs []In, f func(In) (Out, error)) ([]Out, error) {
 	return sweep.Map(context.Background(), inputs,
 		func(_ context.Context, in In) (Out, error) { return f(in) },
-		sweep.Options{Workers: opt.Workers})
+		opt.Workers)
 }
 
 // pick returns quick when Options.Quick is set, full otherwise.

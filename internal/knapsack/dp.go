@@ -14,6 +14,16 @@ import (
 // the same method per input as it always has.
 const MaxDPCells = 1 << 28
 
+// dpCells is the (n+1)×(c+1) table size, saturating past MaxDPCells so the
+// product cannot wrap (to a small, accepted size) for large capacities or
+// profit totals.
+func dpCells(n int, c int64) int64 {
+	if c >= MaxDPCells {
+		return MaxDPCells + 1
+	}
+	return int64(n+1) * (c + 1)
+}
+
 // dpScratch is the reusable workspace of the rolling-row DPs: one value row
 // and a packed decision bitset (one bit per item×capacity or item×profit
 // cell, recording whether taking the item improved that cell). Pooling it
@@ -51,7 +61,7 @@ func DPByWeight(items []Item, capacity int64) (Result, error) {
 		return Result{}, err
 	}
 	n := len(items)
-	if int64(n+1)*(capacity+1) > MaxDPCells {
+	if dpCells(n, capacity) > MaxDPCells {
 		return Result{}, fmt.Errorf("knapsack: DPByWeight table %d×%d exceeds budget", n+1, capacity+1)
 	}
 	w := int(capacity)
@@ -102,7 +112,7 @@ func DPByProfit(items []Item, capacity int64) (Result, error) {
 	}
 	n := len(items)
 	P := totalProfit(items)
-	if int64(n+1)*(P+1) > MaxDPCells {
+	if dpCells(n, P) > MaxDPCells {
 		return Result{}, fmt.Errorf("knapsack: DPByProfit table %d×%d exceeds budget", n+1, P+1)
 	}
 	const inf = int64(1) << 62

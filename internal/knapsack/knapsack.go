@@ -24,8 +24,10 @@
 package knapsack
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // Item is one knapsack item.
@@ -89,30 +91,43 @@ func totalProfit(items []Item) int64 {
 	return s
 }
 
+// CompareDensity orders two items by profit density, densest first: it
+// returns −1 when pa/wa > pb/wb, +1 when pa/wa < pb/wb, and 0 when the
+// densities are equal. A zero-weight item has infinite density and sorts
+// before every weighted one; two zero-weight items compare equal. The cross
+// products pa·wb and pb·wa are compared exactly in 128 bits, so the order is
+// right for every pair of non-negative int64 values (an int64 product wraps
+// once both factors pass 2^31.5, which silently reorders items). Every
+// density order in the solver goes through this function; callers add
+// their own tie-break.
+func CompareDensity(pa, wa, pb, wb int64) int {
+	if wa == 0 || wb == 0 {
+		// Zero weight first: a lone zero is the smaller weight.
+		return cmp.Compare(wa, wb)
+	}
+	hiA, loA := bits.Mul64(uint64(pa), uint64(wb))
+	hiB, loB := bits.Mul64(uint64(pb), uint64(wa))
+	if c := cmp.Compare(hiB, hiA); c != 0 {
+		return c
+	}
+	return cmp.Compare(loB, loA)
+}
+
 // byDensity returns item indices sorted by profit density (profit/weight)
 // descending, with zero-weight items (infinite density) first and ties
-// broken by higher profit. The ordering is shared by Greedy and the
-// Dantzig bound so their analyses line up.
+// broken by higher profit, then input order. The ordering is shared by
+// Greedy and the Dantzig bound so their analyses line up.
 func byDensity(items []Item) []int {
 	idx := make([]int, len(items))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ia, ib := items[idx[a]], items[idx[b]]
-		// compare ia.Profit/ia.Weight > ib.Profit/ib.Weight without division
-		if ia.Weight == 0 || ib.Weight == 0 {
-			if ia.Weight == 0 && ib.Weight == 0 {
-				return ia.Profit > ib.Profit
-			}
-			return ia.Weight == 0
+	slices.SortStableFunc(idx, func(a, b int) int {
+		ia, ib := items[a], items[b]
+		if c := CompareDensity(ia.Profit, ia.Weight, ib.Profit, ib.Weight); c != 0 {
+			return c
 		}
-		lhs := ia.Profit * ib.Weight
-		rhs := ib.Profit * ia.Weight
-		if lhs != rhs {
-			return lhs > rhs
-		}
-		return ia.Profit > ib.Profit
+		return cmp.Compare(ib.Profit, ia.Profit)
 	})
 	return idx
 }

@@ -282,6 +282,50 @@ func TestDPBudgetExceeded(t *testing.T) {
 	}
 }
 
+// TestDPBudgetNoWrap: a table size that overflows int64 must be refused,
+// not wrapped into an accepted one. 2048 rows × (2^53+1) columns is
+// 2^64 + 2048, which an unguarded product reads as 2048 cells.
+func TestDPBudgetNoWrap(t *testing.T) {
+	items := make([]Item, 2047)
+	for i := range items {
+		items[i] = Item{Weight: 1, Profit: 1}
+	}
+	const capacity = 1 << 53
+	if _, err := DPByWeight(items, capacity); err == nil {
+		t.Error("wrapping weight table must be refused")
+	}
+	res, exact, err := Solve(items, capacity, Options{})
+	if err != nil || !exact || res.Profit != int64(len(items)) {
+		t.Errorf("Solve = %d (exact=%v, err=%v), want every item", res.Profit, exact, err)
+	}
+}
+
+// TestCompareDensity pins the comparator's sign convention, zero-weight
+// rule, and exactness past the int64 product range.
+func TestCompareDensity(t *testing.T) {
+	const big = 1 << 40
+	cases := []struct {
+		pa, wa, pb, wb int64
+		want           int
+	}{
+		{3, 1, 2, 1, -1},
+		{2, 1, 3, 1, 1},
+		{4, 2, 2, 1, 0},
+		{1, 0, 100, 1, -1},
+		{100, 1, 1, 0, 1},
+		{1, 0, 5, 0, 0},
+		// (2^40+1)/2^40 vs 1: the products differ only in bit 0 of an
+		// 81-bit value, which int64 arithmetic would wrap away.
+		{big + 1, big, big, big, -1},
+		{big, big, big + 1, big, 1},
+	}
+	for _, c := range cases {
+		if got := CompareDensity(c.pa, c.wa, c.pb, c.wb); got != c.want {
+			t.Errorf("CompareDensity(%d/%d, %d/%d) = %d, want %d", c.pa, c.wa, c.pb, c.wb, got, c.want)
+		}
+	}
+}
+
 func TestResultHelpers(t *testing.T) {
 	items := []Item{{2, 3}, {4, 5}, {6, 7}}
 	res := Result{Profit: 8, Take: []bool{true, false, true}}

@@ -2,6 +2,7 @@ package mkp
 
 import (
 	"fmt"
+	"slices"
 
 	"sectorpack/internal/knapsack"
 )
@@ -29,17 +30,11 @@ func Exact(p *Problem, maxNodes int64) (res Result, ok bool, err error) {
 	for i := range order {
 		order[i] = i
 	}
-	// simple insertion sort by density descending
-	for a := 1; a < n; a++ {
-		for b := a; b > 0; b-- {
-			ib, ip := p.Items[order[b]], p.Items[order[b-1]]
-			if ib.Profit*maxI64(ip.Weight, 1) > ip.Profit*maxI64(ib.Weight, 1) {
-				order[b], order[b-1] = order[b-1], order[b]
-			} else {
-				break
-			}
-		}
-	}
+	// Stable, density descending, a zero weight counted as 1.
+	slices.SortStableFunc(order, func(a, b int) int {
+		ia, ib := p.Items[a], p.Items[b]
+		return knapsack.CompareDensity(ia.Profit, max(ia.Weight, 1), ib.Profit, max(ib.Weight, 1))
+	})
 	sorted := make([]knapsack.Item, n)
 	for k, i := range order {
 		sorted[k] = p.Items[i]
@@ -102,11 +97,4 @@ func Exact(p *Problem, maxNodes int64) (res Result, ok bool, err error) {
 		res.Profit = 0
 	}
 	return res, !budgetHit, nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

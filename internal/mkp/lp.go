@@ -3,8 +3,9 @@ package mkp
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
+	"sectorpack/internal/knapsack"
 	"sectorpack/internal/lp"
 )
 
@@ -134,10 +135,10 @@ func RoundLP(p *Problem, x [][]float64, rng *rand.Rand, trials int) (Result, err
 					members = append(members, i)
 				}
 			}
-			sort.Slice(members, func(a, b int) bool {
-				ia, ib := p.Items[members[a]], p.Items[members[b]]
+			slices.SortFunc(members, func(a, b int) int {
+				ia, ib := p.Items[a], p.Items[b]
 				// ascending density: evict the least valuable per unit first
-				return ia.Profit*ib.Weight < ib.Profit*ia.Weight
+				return knapsack.CompareDensity(ib.Profit, ib.Weight, ia.Profit, ia.Weight)
 			})
 			for _, i := range members {
 				if load[j] <= p.Capacities[j] {

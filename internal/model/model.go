@@ -195,13 +195,29 @@ func (in *Instance) UnitDemand() bool {
 	return true
 }
 
+// MaxMagnitude is the numeric domain of an instance: Validate rejects one
+// whose total profit, total demand, or any antenna capacity exceeds it.
+// Within 2^53 no int64 sum of profits or demands can overflow, and every
+// such total (the float UpperBound, LP values) is exactly representable as
+// a float64.
+const MaxMagnitude = 1 << 53
+
+// domainSum adds v to a running total that saturates just above
+// MaxMagnitude, so the total can neither overflow nor hide an excess.
+func domainSum(sum, v int64) int64 {
+	return min(sum+min(max(v, 0), MaxMagnitude+1), MaxMagnitude+1)
+}
+
 // Validate checks structural well-formedness: normalized angles,
 // non-negative radii, positive demands, IDs equal to slice positions (the
 // solvers index by position and report by ID; keeping them equal removes a
-// whole class of bookkeeping bugs), and widths within [0, 2π].
+// whole class of bookkeeping bugs), widths within [0, 2π], and magnitudes
+// within MaxMagnitude.
 func (in *Instance) Validate() error {
 	var errs []error
+	var profit, demand int64
 	for i, c := range in.Customers {
+		profit, demand = domainSum(profit, c.Profit), domainSum(demand, c.Demand)
 		if c.ID != i {
 			errs = append(errs, fmt.Errorf("customer %d: ID %d must equal slice index", i, c.ID))
 		}
@@ -218,6 +234,12 @@ func (in *Instance) Validate() error {
 			errs = append(errs, fmt.Errorf("customer %d: profit %d must be non-negative", i, c.Profit))
 		}
 	}
+	if profit > MaxMagnitude {
+		errs = append(errs, errors.New("total customer profit exceeds the numeric limit MaxMagnitude = 2^53"))
+	}
+	if demand > MaxMagnitude {
+		errs = append(errs, errors.New("total customer demand exceeds the numeric limit MaxMagnitude = 2^53"))
+	}
 	for j, a := range in.Antennas {
 		if a.ID != j {
 			errs = append(errs, fmt.Errorf("antenna %d: ID %d must equal slice index", j, a.ID))
@@ -227,6 +249,9 @@ func (in *Instance) Validate() error {
 		}
 		if a.Capacity < 0 {
 			errs = append(errs, fmt.Errorf("antenna %d: capacity %d must be non-negative", j, a.Capacity))
+		}
+		if a.Capacity > MaxMagnitude {
+			errs = append(errs, fmt.Errorf("antenna %d: capacity %d exceeds the numeric limit MaxMagnitude = 2^53", j, a.Capacity))
 		}
 		if math.IsNaN(a.Range) {
 			errs = append(errs, fmt.Errorf("antenna %d: range is NaN", j))

@@ -79,6 +79,45 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// TestValidateNumericDomain pins the MaxMagnitude edge: totals and
+// capacities at exactly 2^53 are accepted, one past it is rejected with a
+// message naming the limit, and int64-overflowing inputs cannot wrap the
+// running totals back into range.
+func TestValidateNumericDomain(t *testing.T) {
+	atLimit := func(in *Instance) {
+		in.Customers[0].Profit = MaxMagnitude - 5 // the other three sum to 5
+		in.Customers[1].Profit, in.Customers[2].Profit, in.Customers[3].Profit = 2, 2, 1
+		in.Customers[0].Demand = MaxMagnitude - 11 // other demands sum to 11
+		in.Antennas[0].Capacity = MaxMagnitude
+	}
+	in := testInstance()
+	atLimit(in)
+	if err := in.Validate(); err != nil {
+		t.Fatalf("instance at exactly 2^53 rejected: %v", err)
+	}
+	mut := []struct {
+		name string
+		f    func(*Instance)
+		want string
+	}{
+		{"total profit", func(in *Instance) { in.Customers[3].Profit++ }, "total customer profit"},
+		{"total demand", func(in *Instance) { in.Customers[3].Demand++ }, "total customer demand"},
+		{"capacity", func(in *Instance) { in.Antennas[1].Capacity = MaxMagnitude + 1 }, "antenna 1: capacity"},
+		{"wrapping profits", func(in *Instance) {
+			in.Customers[0].Profit, in.Customers[1].Profit = math.MaxInt64, math.MaxInt64
+		}, "total customer profit"},
+	}
+	for _, m := range mut {
+		in := testInstance()
+		atLimit(in)
+		m.f(in)
+		err := in.Validate()
+		if err == nil || !strings.Contains(err.Error(), m.want) || !strings.Contains(err.Error(), "MaxMagnitude = 2^53") {
+			t.Errorf("%s: err = %v, want %q naming the 2^53 limit", m.name, err, m.want)
+		}
+	}
+}
+
 func TestValidateVariantConstraints(t *testing.T) {
 	in := testInstance()
 	in.Variant = Angles

@@ -1,120 +1,126 @@
-// Package sweep runs experiment workloads in parallel: a fixed pool of
-// workers (GOMAXPROCS by default) drains a queue of deterministic jobs and
-// collects results in submission order, so experiment tables are
-// reproducible regardless of scheduling. Cancellation flows through a
-// context; the first job error aborts the sweep.
+// Package sweep is the one CPU worker pool on the solver path. Each is the
+// primitive: it claims indices one at a time in index order, stops claiming
+// once the context is done, and runs inline on the caller's goroutine when
+// a single worker is asked for. Run and Map layer first-error cancellation
+// and in-order results on top of it, for experiment tables and the exact
+// search's branch fan-out.
 package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// Job is one unit of work; Run must be safe to call concurrently with
-// other jobs' Run (jobs share nothing mutable).
-type Job[T any] func(ctx context.Context) (T, error)
-
-// Options tunes Run.
-type Options struct {
-	// Workers is the pool size; zero means GOMAXPROCS.
-	Workers int
-}
-
-// Run executes the jobs on a worker pool and returns their results in the
-// order the jobs were given. The first error cancels the remaining jobs
-// and is returned (wrapped with its job index).
+// Each calls fn(worker, i) for i = 0, 1, …, n−1 on up to workers
+// goroutines, where worker ∈ [0, workers) identifies the calling goroutine
+// so fn can index per-worker scratch. Indices are claimed one at a time in
+// ascending order, so a caller that sorts its work by priority gets it
+// started in that order. ctx is consulted before every claim; once it is
+// done no further index is claimed.
 //
-// Work is dispatched by a chunked atomic counter rather than a feed
-// channel: each worker claims a contiguous block of job indices with one
-// atomic add, so the dispatcher costs a few nanoseconds per chunk instead
-// of a channel handoff (and a blocked feeding goroutine) per job. Chunks
-// keep counter contention negligible for fine-grained jobs while staying
-// small enough — at most 1/(8·workers) of the queue — to load-balance
-// uneven job costs.
-func Run[T any](ctx context.Context, jobs []Job[T], opt Options) ([]T, error) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// With workers ≤ 1 (or n ≤ 1) every call runs inline on the caller's
+// goroutine with worker 0 and nothing is spawned.
+//
+// Each returns the number of indices it started. Claims are in order and
+// every claimed index runs, so the started indices are exactly 0..ran−1.
+func Each(ctx context.Context, n, workers int, fn func(worker, i int)) (ran int) {
+	if workers > n {
+		workers = n
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	results := make([]T, len(jobs))
-	if len(jobs) == 0 {
-		return results, nil
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type failure struct {
-		idx int
-		err error
-	}
-	var (
-		mu    sync.Mutex
-		first *failure
-	)
-	chunk := len(jobs) / (8 * workers)
-	if chunk < 1 {
-		chunk = 1
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if ctx.Err() != nil {
+				return i
+			}
+			fn(0, i)
+		}
+		return n
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				base := int(next.Add(int64(chunk))) - chunk
-				if base >= len(jobs) {
+				if ctx.Err() != nil {
 					return
 				}
-				end := base + chunk
-				if end > len(jobs) {
-					end = len(jobs)
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
 				}
-				for idx := base; idx < end; idx++ {
-					if ctx.Err() != nil {
-						continue // skip remaining indices after cancellation
-					}
-					res, err := jobs[idx](ctx)
-					if err != nil {
-						mu.Lock()
-						if first == nil || idx < first.idx {
-							first = &failure{idx: idx, err: err}
-						}
-						mu.Unlock()
-						cancel()
-						continue
-					}
-					results[idx] = res
-				}
+				fn(w, i)
 			}
 		}()
 	}
 	wg.Wait()
+	return min(int(next.Load()), n)
+}
 
-	if first != nil {
-		return nil, fmt.Errorf("sweep: job %d: %w", first.idx, first.err)
+// Job is one unit of work; it must be safe to run concurrently with the
+// other jobs of its Run (jobs share nothing mutable).
+type Job[T any] func(ctx context.Context) (T, error)
+
+// Run executes the jobs on up to workers goroutines (workers ≤ 0 means
+// GOMAXPROCS) and returns their results in the order the jobs were given.
+// The first failing job cancels the context the remaining jobs see, and
+// Run returns the root cause, wrapped with its job index: among the
+// failures, one that is not an induced context.Canceled wins, lowest job
+// index first. A sibling that merely observed the pool's own cancellation
+// never displaces the error that caused it. If the caller's ctx ends the
+// run without any job failing, its error is returned.
+func Run[T any](ctx context.Context, jobs []Job[T], workers int) ([]T, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	// Only an external cancellation can leave ctx done without a recorded
-	// failure (our own cancel fires solely on job errors).
-	if err := ctx.Err(); err != nil {
+	parent := ctx
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	results := make([]T, len(jobs))
+	var (
+		mu       sync.Mutex
+		firstIdx int
+		firstErr error
+		induced  bool // firstErr is a context.Canceled caused by cancel
+	)
+	Each(ctx, len(jobs), workers, func(_, idx int) {
+		res, err := jobs[idx](ctx)
+		if err == nil {
+			results[idx] = res
+			return
+		}
+		ind := errors.Is(err, context.Canceled) && parent.Err() == nil
+		mu.Lock()
+		if firstErr == nil || (induced && !ind) || (induced == ind && idx < firstIdx) {
+			firstIdx, firstErr, induced = idx, err, ind
+		}
+		mu.Unlock()
+		cancel()
+	})
+	if firstErr != nil {
+		return nil, fmt.Errorf("sweep: job %d: %w", firstIdx, firstErr)
+	}
+	// Our own cancel fires only on a job error, so a done ctx here means
+	// the caller cancelled.
+	if err := parent.Err(); err != nil {
 		return nil, err
 	}
 	return results, nil
 }
 
-// Map is a convenience wrapper: it applies f to every input in parallel.
-func Map[In, Out any](ctx context.Context, inputs []In, f func(context.Context, In) (Out, error), opt Options) ([]Out, error) {
+// Map applies f to every input on up to workers goroutines (workers ≤ 0
+// means GOMAXPROCS), with Run's ordering and error semantics.
+func Map[In, Out any](ctx context.Context, inputs []In, f func(context.Context, In) (Out, error), workers int) ([]Out, error) {
 	jobs := make([]Job[Out], len(inputs))
 	for i := range inputs {
 		in := inputs[i]
 		jobs[i] = func(ctx context.Context) (Out, error) { return f(ctx, in) }
 	}
-	return Run(ctx, jobs, opt)
+	return Run(ctx, jobs, workers)
 }
