@@ -28,12 +28,14 @@ import (
 // judged against. NumCPU records the physical parallelism actually
 // available when the report was taken — a "parallel" entry measured on a
 // single-core box is oversubscription, not speedup, and comparisons across
-// reports must account for it.
+// reports must account for it. CPUModel names the processor (empty where
+// the host does not say).
 type benchReport struct {
 	Date        string       `json:"date"`
 	GoVersion   string       `json:"go_version"`
 	GOMAXPROCS  int          `json:"gomaxprocs"`
 	NumCPU      int          `json:"num_cpu"`
+	CPUModel    string       `json:"cpu_model"`
 	Quick       bool         `json:"quick"`
 	Experiments []expTiming  `json:"experiments"`
 	Micro       []microBench `json:"micro"`
@@ -365,6 +367,24 @@ func compareMicro(out io.Writer, base *benchReport, current []microBench, metric
 	return nil
 }
 
+// cpuInfoPath is the Linux CPU description cpuModel reads.
+const cpuInfoPath = "/proc/cpuinfo"
+
+// cpuModel returns the first "model name" value of the cpuinfo file at
+// path, or "" where the file is absent or has no such line.
+func cpuModel(path string) string {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if key, val, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(key) == "model name" {
+			return strings.TrimSpace(val)
+		}
+	}
+	return ""
+}
+
 // writeBenchJSON writes BENCH_<date>.json into dir and returns its path.
 func writeBenchJSON(dir string, quick, big bool, exps []expTiming) (string, error) {
 	rep := benchReport{
@@ -372,6 +392,7 @@ func writeBenchJSON(dir string, quick, big bool, exps []expTiming) (string, erro
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		NumCPU:      runtime.NumCPU(),
+		CPUModel:    cpuModel(cpuInfoPath),
 		Quick:       quick,
 		Experiments: exps,
 		Micro:       microBenchmarks(big),

@@ -77,6 +77,9 @@ func TestJSONExport(t *testing.T) {
 	if rep.NumCPU <= 0 {
 		t.Errorf("report num_cpu = %d, want > 0", rep.NumCPU)
 	}
+	if want := cpuModel(cpuInfoPath); rep.CPUModel != want {
+		t.Errorf("report cpu_model = %q, want %q", rep.CPUModel, want)
+	}
 	byName := map[string]microBench{}
 	for _, m := range rep.Micro {
 		if m.NsPerOp <= 0 || m.AllocsPerOp <= 0 {
@@ -112,6 +115,32 @@ func TestJSONExport(t *testing.T) {
 	if delta.NsPerOp*5 > scratch.NsPerOp {
 		t.Errorf("session delta %.0f ns/op not 5x faster than from-scratch %.0f ns/op (%.1fx)",
 			delta.NsPerOp, scratch.NsPerOp, scratch.NsPerOp/delta.NsPerOp)
+	}
+}
+
+// TestCPUModel pins the cpuinfo parsing behind the report's cpu_model:
+// the first "model name" wins, and a missing file or field reads as "".
+func TestCPUModel(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	x86 := write("x86", "processor\t: 0\nvendor_id\t: GenuineIntel\nmodel name\t: Intel(R) Xeon(R) CPU @ 2.20GHz\n\n"+
+		"processor\t: 1\nmodel name\t: Other CPU\n")
+	arm := write("arm", "processor\t: 0\nBogoMIPS\t: 50.00\nCPU implementer\t: 0x41\n")
+	cases := map[string]string{
+		x86:                           "Intel(R) Xeon(R) CPU @ 2.20GHz",
+		arm:                           "",
+		filepath.Join(dir, "missing"): "",
+	}
+	for path, want := range cases {
+		if got := cpuModel(path); got != want {
+			t.Errorf("cpuModel(%s) = %q, want %q", filepath.Base(path), got, want)
+		}
 	}
 }
 

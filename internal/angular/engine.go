@@ -51,17 +51,19 @@ func Workers() int {
 // customers — and evaluates candidate windows with Dantzig-bound pruning:
 //
 //  1. For every candidate window a fractional (Dantzig) upper bound is
-//     computed in O(window) from the sweep's density order, using integer
-//     ceiling arithmetic so the bound NEVER undershoots the window's true
-//     knapsack optimum.
-//  2. Candidates are visited in descending-bound order; a candidate whose
-//     bound is strictly below the best profit already solved is skipped —
-//     its knapsack provably cannot win.
+//     computed in O(window) from the sweep's density order and floored with
+//     integer arithmetic: the window's knapsack optimum is an integer no
+//     larger than the fractional value, so it is no larger than its floor.
+//  2. Candidates are visited in descending-bound order; a candidate is
+//     skipped when its bound is strictly below the best profit already
+//     solved, or equal to a positive best profit that a candidate earlier
+//     in original order already reached — either way its knapsack provably
+//     cannot win the fold.
 //  3. The surviving evaluations fold in original candidate order with the
 //     same strictly-greater comparison as the unpruned path.
 //
-// Pruning is invisible in the results (see the correctness argument on
-// bestBound): Alpha, Profit, Customers, and Exact all match the unpruned
+// Pruning is invisible in the results (see the correctness argument in
+// evaluate): Alpha, Profit, Customers, and Exact all match the unpruned
 // evaluation bit for bit on any input whose inner-solver exactness is
 // uniform across windows, and unconditionally for the first three. A
 // metamorphic test sweeps generator families × solvers to enforce this.
@@ -81,7 +83,23 @@ type Engine struct {
 	outs   []outcome
 	posBuf []int32
 	posEnd []int32 // prefix ends of each candidate's segment in posBuf
+
+	work Work
 }
+
+// Work counts an engine's candidate-window evaluations over its lifetime.
+// Pruned and Solved are the scalar schedule's counts at any worker count,
+// so they are a deterministic function of the calls made. Enumerated −
+// Pruned − Solved is the number of windows with no active member (settled
+// without a knapsack) plus any a cancellation left unclaimed.
+type Work struct {
+	Enumerated int64 // candidate windows enumerated
+	Pruned     int64 // skipped by the Dantzig bound or the tie rule
+	Solved     int64 // handed to the knapsack solver
+}
+
+// Work returns the engine's cumulative window counters.
+func (e *Engine) Work() Work { return e.work }
 
 // windowCand is one candidate window awaiting evaluation: either a circular
 // position range of the sweep (count >= 0, the streaming enumeration) or a
@@ -300,29 +318,32 @@ func (e *Engine) evaluate(ctx context.Context, s *Sweep, capacity int64, active 
 		return cmp.Compare(a, b)
 	})
 
-	// best is the highest profit of any solved candidate so far; −1 until
-	// the first solve, so the first candidate in bound order — which has
-	// the globally highest bound — is never pruned. Pruning strictly
-	// (bound < best) is what makes the fold below provably identical to
-	// the unpruned path: a pruned candidate's true window optimum is at
-	// most its bound, hence strictly below some solved profit, so it can
-	// be neither the maximum nor a first-index tie-winner.
-	var best atomic.Int64
-	best.Store(-1)
+	// best is the incumbent: the highest profit of any solved candidate
+	// so far, with the smallest original index that reached it; profit −1
+	// until the first solve, so the first candidate in bound order — which
+	// has the globally highest bound — is never pruned. A candidate's true
+	// window optimum is an integer at most its floored bound, so it cannot
+	// win the strictly-greater, first-index fold below when its bound is
+	// below best.profit, or equal to it with a smaller index already there.
+	// The tie rule needs a positive profit: profit-0 windows may be empty
+	// ones, which the skipEmpty fold ignores.
+	var best atomic.Pointer[incumbent]
+	best.Store(&incumbent{profit: -1})
 
 	workers := Workers()
 	if nc < parallelThreshold {
 		workers = 1
 	}
-	sweep.Each(ctx, nc, workers, func(_, i int) {
+	ran := sweep.Each(ctx, nc, workers, func(_, i int) {
 		k := e.order[i]
-		if e.wins[k].bound < best.Load() {
+		if best.Load().prunes(e.wins[k].bound, k) {
 			return
 		}
 		sc := evalPool.Get().(*evalScratch)
-		e.solve(s, int(k), capacity, active, opt, &best, sc)
+		e.solve(s, k, capacity, active, opt, &best, sc)
 		evalPool.Put(sc)
 	})
+	e.countWork(e.order[:ran])
 	if err := ctx.Err(); err != nil {
 		return Window{}, err
 	}
@@ -358,7 +379,7 @@ var evalPool = sync.Pool{New: func() any { return new(evalScratch) }}
 // incumbent. Member enumeration preserves the historical item orders:
 // sweep order (rotated theta order) for range candidates, ascending
 // customer index for explicit-angle candidates.
-func (e *Engine) solve(s *Sweep, k int, capacity int64, active []bool, opt knapsack.Options, best *atomic.Int64, sc *evalScratch) {
+func (e *Engine) solve(s *Sweep, k int32, capacity int64, active []bool, opt knapsack.Options, best *atomic.Pointer[incumbent], sc *evalScratch) {
 	c := e.wins[k]
 	n := s.Len()
 	ids := sc.ids[:0]
@@ -381,7 +402,7 @@ func (e *Engine) solve(s *Sweep, k int, capacity int64, active []bool, opt knaps
 	sc.ids = ids
 	if len(ids) == 0 {
 		e.outs[k] = outcome{win: Window{Alpha: c.alpha, Exact: true}, solved: true, empty: true}
-		raise(best, 0)
+		raise(best, 0, k)
 		return
 	}
 	items := sc.items[:0]
@@ -401,24 +422,69 @@ func (e *Engine) solve(s *Sweep, k int, capacity int64, active []bool, opt knaps
 		}
 	}
 	e.outs[k] = outcome{win: w, solved: true}
-	raise(best, res.Profit)
+	raise(best, res.Profit, k)
 }
 
-// raise lifts the atomic incumbent to at least p.
-func raise(best *atomic.Int64, p int64) {
+// incumbent is the best (profit, original candidate index) pair solved so
+// far in one evaluate call.
+type incumbent struct {
+	profit int64
+	k      int32
+}
+
+// prunes reports whether a candidate with this bound at original index k
+// provably cannot win the fold against the incumbent (see evaluate).
+func (b *incumbent) prunes(bound int64, k int32) bool {
+	return bound < b.profit || (bound == b.profit && b.profit > 0 && b.k < k)
+}
+
+// beatenBy reports whether (p, k) wins the fold's order over the
+// incumbent: a higher profit, or the same profit at a smaller index.
+func (b *incumbent) beatenBy(p int64, k int32) bool {
+	return p > b.profit || (p == b.profit && k < b.k)
+}
+
+// raise lifts the incumbent to (p, k) if that pair beats it.
+func raise(best *atomic.Pointer[incumbent], p int64, k int32) {
+	next := &incumbent{profit: p, k: k}
 	for {
 		cur := best.Load()
-		if p <= cur || best.CompareAndSwap(cur, p) {
+		if !cur.beatenBy(p, k) || best.CompareAndSwap(cur, next) {
 			return
 		}
 	}
 }
 
+// countWork adds one evaluate call's window counts to e.work. It replays
+// the claimed prefix of the bound order against a private incumbent, so the
+// counts are those of the scalar schedule whatever the worker count: a
+// parallel run's incumbent at any claim is no better than the scalar run's
+// at the same point, so it solves every window the scalar run solves, and
+// those outcomes are all in e.outs.
+func (e *Engine) countWork(claimed []int32) {
+	e.work.Enumerated += int64(len(e.wins))
+	inc := incumbent{profit: -1}
+	for _, k := range claimed {
+		if inc.prunes(e.wins[k].bound, k) {
+			e.work.Pruned++
+			continue
+		}
+		o := &e.outs[k]
+		if !o.empty {
+			e.work.Solved++
+		}
+		if o.err == nil && inc.beatenBy(o.win.Profit, k) {
+			inc = incumbent{profit: o.win.Profit, k: k}
+		}
+	}
+}
+
 // dantzigRange computes the Dantzig fractional upper bound of the window
-// given as a circular position range, over active members only. Walking the
-// sweep's density order and rounding the split item's contribution UP with
-// integer arithmetic makes the result an exact-arithmetic upper bound on
-// the window's 0/1 optimum — no float rounding can pull it below.
+// given as a circular position range, over active members only, floored.
+// The fractional bound walks the sweep's density order; the 0/1 optimum is
+// an integer no larger than it, so flooring the split item's share with
+// integer arithmetic keeps the result an upper bound on that optimum — and
+// no float rounding can pull it below.
 func (s *Sweep) dantzigRange(start, count int, active []bool, capacity int64) int64 {
 	n := len(s.ids)
 	rem := capacity
@@ -443,7 +509,7 @@ func (s *Sweep) dantzigRange(start, count int, active []bool, capacity int64) in
 				break
 			}
 		} else {
-			bound += ceilFrac(s.profits[p], rem, w)
+			bound += floorFrac(s.profits[p], rem, w)
 			break
 		}
 	}
@@ -488,24 +554,24 @@ func (s *Sweep) dantzigSet(set []int32, active []bool, capacity int64) int64 {
 				break
 			}
 		} else {
-			bound += ceilFrac(s.profits[p], rem, w)
+			bound += floorFrac(s.profits[p], rem, w)
 			break
 		}
 	}
 	return bound
 }
 
-// ceilFrac returns ceil(p·rem/w), the split item's share of the Dantzig
-// bound, computed in integers so it can only round UP (a float could round
-// below the true fraction and break the pruning soundness proof). If the
-// product would overflow it falls back to p, which is always a valid upper
-// bound on the fraction since rem < w.
-func ceilFrac(p, rem, w int64) int64 {
+// floorFrac returns floor(p·rem/w), the split item's share of the floored
+// Dantzig bound, computed in integers (a float could round across an
+// integer and break the pruning soundness proof). If the product would
+// overflow it falls back to p, which is still an upper bound on the share
+// since rem < w.
+func floorFrac(p, rem, w int64) int64 {
 	if p == 0 || rem == 0 {
 		return 0
 	}
 	if p > math.MaxInt64/rem {
 		return p
 	}
-	return (p*rem + w - 1) / w
+	return p * rem / w
 }

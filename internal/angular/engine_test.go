@@ -4,9 +4,11 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sectorpack/internal/gen"
+	"sectorpack/internal/geom"
 	"sectorpack/internal/knapsack"
 	"sectorpack/internal/model"
 )
@@ -136,27 +138,7 @@ func TestBestWindowAtMatchesScanReference(t *testing.T) {
 				active[i] = rng.Intn(3) != 0
 			}
 		}
-		capacity := in.Antennas[0].Capacity
-		want := Window{Profit: -1, Exact: true}
-		for _, alpha := range alphas {
-			items, ids := WindowItems(in, 0, alpha, active)
-			if len(ids) == 0 {
-				continue
-			}
-			res, exact, err := knapsack.Solve(items, capacity, knapsack.Options{})
-			if err != nil {
-				t.Fatalf("reference: %v", err)
-			}
-			w := Window{Alpha: alpha, Profit: res.Profit, Exact: exact}
-			for k, take := range res.Take {
-				if take {
-					w.Customers = append(w.Customers, ids[k])
-				}
-			}
-			want = better(want, w)
-		}
-		want = clampEmpty(want)
-
+		want := scanBestWindowAt(t, in, alphas, active, knapsack.Options{})
 		got, err := NewEngine(in).BestWindowAt(context.Background(), 0, alphas, active, knapsack.Options{})
 		if err != nil {
 			t.Fatalf("BestWindowAt: %v", err)
@@ -164,6 +146,124 @@ func TestBestWindowAtMatchesScanReference(t *testing.T) {
 		if !windowsEqual(got, want) {
 			t.Fatalf("trial %d: BestWindowAt %+v != scan %+v", trial, got, want)
 		}
+	}
+}
+
+// scanBestWindowAt is the reference for BestWindowAt: a direct
+// WindowItems scan over every alpha, solving every non-empty window and
+// skipping empty ones, with no pruning.
+func scanBestWindowAt(t *testing.T, in *model.Instance, alphas []float64, active []bool, opt knapsack.Options) Window {
+	t.Helper()
+	capacity := in.Antennas[0].Capacity
+	want := Window{Profit: -1, Exact: true}
+	for _, alpha := range alphas {
+		items, ids := WindowItems(in, 0, alpha, active)
+		if len(ids) == 0 {
+			continue
+		}
+		res, exact, err := knapsack.Solve(items, capacity, opt)
+		if err != nil {
+			t.Fatalf("reference: %v", err)
+		}
+		w := Window{Alpha: alpha, Profit: res.Profit, Exact: exact}
+		for k, take := range res.Take {
+			if take {
+				w.Customers = append(w.Customers, ids[k])
+			}
+		}
+		want = better(want, w)
+	}
+	return clampEmpty(want)
+}
+
+// tieInstance builds a one-antenna instance on which many candidate
+// windows tie: profit == demand makes every density equal, so a window's
+// floored Dantzig bound is min(capacity, its active demand); even demands
+// against an odd capacity leave every window that overflows the capacity
+// one short of its bound, tying with windows that fit it exactly, and about
+// a third of the customers appear twice.
+func tieInstance(rng *rand.Rand, n int) *model.Instance {
+	in := &model.Instance{Variant: model.Sectors}
+	for i := 0; i < n; i++ {
+		c := model.Customer{
+			Theta:  rng.Float64() * geom.TwoPi,
+			R:      rng.Float64() * 10,
+			Demand: 2 * (1 + rng.Int63n(4)),
+		}
+		c.Profit = c.Demand
+		in.Customers = append(in.Customers, c)
+		if rng.Intn(3) == 0 {
+			in.Customers = append(in.Customers, c)
+		}
+	}
+	in.Antennas = []model.Antenna{{Rho: 0.3 + rng.Float64()*2, Range: 10, Capacity: 2*(3+rng.Int63n(10)) + 1}}
+	return in.Normalize()
+}
+
+// TestBestWindowTiesScalarVsParallel is the tie-heavy differential of the
+// pruning's tie rule (a window whose bound equals a profit an earlier
+// window already reached is skipped): on instances where many windows tie
+// at the maximum, BestWindow and BestWindowAt must match the unpruned
+// references bit for bit on the scalar and the worker-pool paths, with and
+// without active masks, for the exact and the FPTAS inner solvers; the
+// engine's work counters must not depend on the path either.
+func TestBestWindowTiesScalarVsParallel(t *testing.T) {
+	opts := []knapsack.Options{{}, {ForceApprox: true, Eps: 0.3}}
+	rng := rand.New(rand.NewSource(81))
+	defer SetMaxWorkers(SetMaxWorkers(0))
+	var pruned int64
+	var scalarWork Work
+	for trial := 0; trial < 200; trial++ {
+		in := tieInstance(rng, 5+rng.Intn(25))
+		var active []bool
+		if trial%2 == 1 {
+			active = make([]bool, in.N())
+			for i := range active {
+				active[i] = rng.Intn(4) != 0
+			}
+		}
+		alphas := append([]float64{}, Candidates(in, 0)...)
+		for k := 0; k < 4; k++ {
+			alphas = append(alphas, rng.Float64()*geom.TwoPi)
+		}
+		for _, opt := range opts {
+			want, err := unprunedBestWindow(in, 0, active, opt)
+			if err != nil {
+				t.Fatalf("trial %d reference: %v", trial, err)
+			}
+			wantAt := scanBestWindowAt(t, in, alphas, active, opt)
+			for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+				SetMaxWorkers(workers)
+				eng := NewEngine(in)
+				got, err := eng.BestWindow(context.Background(), 0, active, opt)
+				if err != nil {
+					t.Fatalf("trial %d BestWindow: %v", trial, err)
+				}
+				gotAt, err := eng.BestWindowAt(context.Background(), 0, alphas, active, opt)
+				if err != nil {
+					t.Fatalf("trial %d BestWindowAt: %v", trial, err)
+				}
+				if !windowsEqual(got, want) {
+					t.Fatalf("trial %d opt=%+v workers=%d: BestWindow %+v != unpruned %+v", trial, opt, workers, got, want)
+				}
+				if !windowsEqual(gotAt, wantAt) {
+					t.Fatalf("trial %d opt=%+v workers=%d: BestWindowAt %+v != scan %+v", trial, opt, workers, gotAt, wantAt)
+				}
+				w := eng.Work()
+				if w.Enumerated != int64(len(Candidates(in, 0))+len(alphas)) || w.Pruned+w.Solved > w.Enumerated {
+					t.Fatalf("trial %d: inconsistent work counters %+v", trial, w)
+				}
+				if workers == 1 {
+					scalarWork = w
+				} else if w != scalarWork {
+					t.Fatalf("trial %d: work counters %+v at %d workers, %+v on the scalar path", trial, w, workers, scalarWork)
+				}
+				pruned += w.Pruned
+			}
+		}
+	}
+	if pruned == 0 {
+		t.Fatal("no window was ever pruned: the instances do not exercise the pruning")
 	}
 }
 
@@ -225,19 +325,20 @@ func TestEngineCachesSweeps(t *testing.T) {
 	}
 }
 
-// TestCeilFrac pins the integer ceiling arithmetic of the split item,
+// TestFloorFrac pins the integer floor arithmetic of the split item,
 // including the overflow fallback.
-func TestCeilFrac(t *testing.T) {
+func TestFloorFrac(t *testing.T) {
 	cases := []struct{ p, rem, w, want int64 }{
-		{10, 3, 4, 8},                        // ceil(30/4) = 8 > 7.5
+		{10, 3, 4, 7},                        // floor(30/4) = 7 < 7.5
 		{10, 4, 4, 10},                       // exact division
+		{9, 2, 3, 6},                         // exact division below the whole item
 		{0, 3, 4, 0},                         // zero profit
 		{10, 0, 4, 0},                        // no room
 		{1 << 62, 1 << 10, 1 << 20, 1 << 62}, // overflow: fall back to p
 	}
 	for _, c := range cases {
-		if got := ceilFrac(c.p, c.rem, c.w); got != c.want {
-			t.Errorf("ceilFrac(%d,%d,%d) = %d, want %d", c.p, c.rem, c.w, got, c.want)
+		if got := floorFrac(c.p, c.rem, c.w); got != c.want {
+			t.Errorf("floorFrac(%d,%d,%d) = %d, want %d", c.p, c.rem, c.w, got, c.want)
 		}
 	}
 }

@@ -60,7 +60,7 @@ func (e *Engine) Rebase(next *model.Instance, d model.Delta) (kept []bool) {
 		// O(n log n) from-scratch view sort. The result is bit-identical to
 		// cols.New(next) (differential-tested), so sweeps built from it
 		// match fresh builds exactly.
-		e.view = cols.Rebase(e.view, next, d.Remove, len(d.Add))
+		e.view = cols.Rebase(e.view, next, d)
 	}
 	touch := make([]float64, 0, len(d.SetDemand)+len(d.Remove)+len(d.Add))
 	for _, ch := range d.SetDemand {
@@ -73,8 +73,17 @@ func (e *Engine) Rebase(next *model.Instance, d model.Delta) (kept []bool) {
 		touch = append(touch, c.R)
 	}
 	sort.Float64s(touch)
-	removed := append([]int(nil), d.Remove...)
-	sort.Ints(removed)
+	// below[id] counts the removed ids under id: a survivor's renumbering.
+	var below []int32
+	if len(d.Remove) > 0 {
+		below = make([]int32, len(old.Customers)+1)
+		for _, id := range d.Remove {
+			below[id+1] = 1
+		}
+		for id := 1; id < len(below); id++ {
+			below[id] += below[id-1]
+		}
+	}
 	for j := 0; j < m; j++ {
 		if e.sweeps[j] == nil {
 			continue // never built; nothing to keep
@@ -91,13 +100,13 @@ func (e *Engine) Rebase(next *model.Instance, d model.Delta) (kept []bool) {
 			e.sweeps[j], e.cands[j] = nil, nil
 			continue
 		}
-		if len(removed) > 0 {
+		if below != nil {
 			s := e.sweeps[j]
 			for t, id := range s.ids {
 				// id is not removed (its radius would be a touch radius in
-				// this antenna's interval), so SearchInts counts exactly the
+				// this antenna's interval), so below[id] counts exactly the
 				// removed customers numbered below it.
-				s.ids[t] = id - int32(sort.SearchInts(removed, int(id)))
+				s.ids[t] = id - below[id]
 			}
 		}
 		kept[j] = true

@@ -50,18 +50,45 @@ type flight struct {
 	err  error
 }
 
-// entry is one stored solution, in canonical coordinates.
+// entry is one stored solution, in canonical coordinates. Owners are held
+// as int32 antenna indices in owner (sol.Assignment is nil): the owner
+// slice is the bulk of an entry, and every stored owner is below the
+// antenna count.
 type entry struct {
-	key  string
-	sol  model.Solution
-	size int64
+	key    string
+	sol    model.Solution
+	orient []float64
+	owner  []int32
+	size   int64
+}
+
+func newEntry(key string, canon model.Solution, size int64) *entry {
+	e := &entry{key: key, sol: canon, orient: canon.Assignment.Orientation, size: size}
+	e.owner = make([]int32, len(canon.Assignment.Owner))
+	for i, o := range canon.Assignment.Owner {
+		e.owner[i] = int32(o)
+	}
+	e.sol.Assignment = nil
+	return e
+}
+
+// solution returns the stored canonical solution. An entry never changes
+// after newEntry, so this needs no lock; the Orientation is shared with
+// the entry and must not be mutated.
+func (e *entry) solution() model.Solution {
+	sol := e.sol
+	sol.Assignment = &model.Assignment{Orientation: e.orient, Owner: make([]int, len(e.owner))}
+	for i, o := range e.owner {
+		sol.Assignment.Owner[i] = int(o)
+	}
+	return sol
 }
 
 // entrySize approximates an entry's memory footprint for the byte budget.
 func entrySize(key string, sol model.Solution) int64 {
 	size := int64(len(key)) + 128 // struct, map, and list overhead
 	if sol.Assignment != nil {
-		size += int64(len(sol.Assignment.Orientation))*8 + int64(len(sol.Assignment.Owner))*8
+		size += int64(len(sol.Assignment.Orientation))*8 + int64(len(sol.Assignment.Owner))*4
 	}
 	size += int64(len(sol.Algorithm) + len(sol.SolverUsed) + len(sol.FallbackReason) + len(sol.FallbackDetail))
 	return size
@@ -165,10 +192,10 @@ func (c *Cache) Get(fp *Fingerprint) (model.Solution, bool) {
 		return model.Solution{}, false
 	}
 	c.ll.MoveToFront(e)
-	sol := e.Value.(*entry).sol
+	ent := e.Value.(*entry)
 	c.hits.Add(1)
 	c.mu.Unlock()
-	return fp.fromCanonical(sol), true
+	return fp.fromCanonical(ent.solution()), true
 }
 
 // Put stores a solution for fp, converting it to canonical coordinates.
@@ -213,7 +240,7 @@ func (c *Cache) putCountedLocked(key string, canon model.Solution, counter *expv
 	if e, ok := c.entries[key]; ok {
 		c.removeLocked(e) // replacement, not eviction pressure
 	}
-	e := c.ll.PushFront(&entry{key: key, sol: canon, size: size})
+	e := c.ll.PushFront(newEntry(key, canon, size))
 	c.entries[key] = e
 	c.bytes += size
 	counter.Add(1)
@@ -250,10 +277,10 @@ func (c *Cache) GetOrSolve(ctx context.Context, fp *Fingerprint, solve func(ctx 
 	c.mu.Lock()
 	if e, ok := c.entries[fp.key]; ok {
 		c.ll.MoveToFront(e)
-		sol := e.Value.(*entry).sol
+		ent := e.Value.(*entry)
 		c.hits.Add(1)
 		c.mu.Unlock()
-		return fp.fromCanonical(sol), Hit, nil
+		return fp.fromCanonical(ent.solution()), Hit, nil
 	}
 	if fl, ok := c.flights[fp.key]; ok {
 		c.collapsed.Add(1)

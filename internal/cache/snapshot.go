@@ -66,7 +66,7 @@ func (c *Cache) snapshotEntries() []entrySnap {
 	out := make([]entrySnap, 0, c.ll.Len())
 	for e := c.ll.Back(); e != nil; e = e.Prev() {
 		ent := e.Value.(*entry)
-		out = append(out, entrySnap{key: ent.key, sol: ent.sol})
+		out = append(out, entrySnap{key: ent.key, sol: ent.solution()})
 	}
 	return out
 }

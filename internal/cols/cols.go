@@ -17,6 +17,9 @@
 package cols
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 
 	"sectorpack/internal/model"
@@ -25,7 +28,7 @@ import (
 // View is the columnar instance core. Position p (0 ≤ p < Len) describes
 // the p-th customer in ascending-angle order; ID[p] maps the position back
 // to the customer's index in Instance.Customers. Angle ties keep ascending
-// customer-index order (the sort is stable over the index-ordered input),
+// customer-index order (the sort key is the (angle, index) pair),
 // so the layout is a deterministic function of the instance.
 type View struct {
 	Theta  []float64 // ascending angles
@@ -58,9 +61,7 @@ func New(in *model.Instance) *View {
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	sort.SliceStable(perm, func(x, y int) bool {
-		return in.Customers[perm[x]].Theta < in.Customers[perm[y]].Theta
-	})
+	slices.SortFunc(perm, thetaIDCmp(in))
 	for p, i := range perm {
 		c := &in.Customers[i]
 		v.Theta[p] = c.Theta
@@ -72,9 +73,7 @@ func New(in *model.Instance) *View {
 	for p := range v.byR {
 		v.byR[p] = int32(p)
 	}
-	sort.SliceStable(v.byR, func(x, y int) bool {
-		return v.R[v.byR[x]] < v.R[v.byR[y]]
-	})
+	slices.SortFunc(v.byR, v.radposCmp)
 	for k, p := range v.byR {
 		v.sortedR[k] = v.R[p]
 	}
@@ -84,12 +83,11 @@ func New(in *model.Instance) *View {
 // Len returns the number of customers in the view.
 func (v *View) Len() int { return len(v.Theta) }
 
-// Rebase builds the view of next — the instance produced by applying a
-// delta to old's instance — in O(n + k log k) for k churned customers,
-// reusing old's two sort orders instead of re-sorting all n customers.
-// removed lists the pre-delta ids the delta removed (any order), added how
-// many customers it appended. The result is identical to New(next); a
-// differential test enforces this bit for bit.
+// Rebase builds the view of next — the instance model.ApplyDelta produced
+// by applying d to old's instance — in O(n + k log k) for k churned
+// customers, reusing old's two sort orders instead of re-sorting all n
+// customers. The result is identical to New(next); a differential test
+// enforces this bit for bit.
 //
 // The construction leans on model.ApplyDelta's layout contract:
 //
@@ -98,31 +96,39 @@ func (v *View) Len() int { return len(v.Theta) }
 //     remapping ids yields the survivors already sorted by (theta, new id);
 //   - added customers occupy ids nSurv..n-1, above every survivor id, so
 //     sorting just the k additions and merging (survivor first on theta
-//     ties) reproduces New's stable (theta, id) order;
+//     ties) reproduces New's (theta, id) order;
 //   - the radial order is rebuilt the same way: survivors filtered from
 //     old's byR stay sorted by (radius, position) because the merge
 //     preserves their relative positions, and the k additions are sorted
 //     and merged in.
 //
-// Every column value is gathered from next, so demand/profit re-pricing
-// needs no special handling. Old is not modified.
-func Rebase(old *View, next *model.Instance, removed []int, added int) *View {
+// A survivor's theta and radius never change, nor do its demand and profit
+// unless d re-prices it, so survivors' columns are copied from old in
+// sequence and only added and re-priced customers are read from next. Old
+// is not modified.
+func Rebase(old *View, next *model.Instance, d model.Delta) *View {
 	n := len(next.Customers)
+	added := len(d.Add)
 	nSurv := n - added
 	oldN := old.Len()
 
-	// shiftOf[id] counts removed ids below id: survivor oldID → oldID−shift.
-	gone := make([]bool, oldN)
-	for _, id := range removed {
-		gone[id] = true
+	// newID[id] is old id's number in next (removals shift the ids above
+	// them down), −1 if removed.
+	newID := make([]int32, oldN)
+	for _, id := range d.Remove {
+		newID[id] = -1
 	}
-	shiftOf := make([]int32, oldN)
 	cum := int32(0)
-	for id := 0; id < oldN; id++ {
-		shiftOf[id] = cum
-		if gone[id] {
+	for id := range newID {
+		if newID[id] < 0 {
 			cum++
+		} else {
+			newID[id] = int32(id) - cum
 		}
+	}
+	repriced := make([]bool, oldN)
+	for _, ch := range d.SetDemand {
+		repriced[ch.Customer] = true
 	}
 
 	v := &View{
@@ -135,90 +141,107 @@ func Rebase(old *View, next *model.Instance, removed []int, added int) *View {
 		sortedR: make([]float64, n),
 	}
 
-	// Angular order: survivors (filtered from old, ids remapped) merged
+	// Angular order: survivors (walked in old's order, ids remapped) merged
 	// with the sorted additions; on theta ties the survivor goes first,
 	// which is (theta, id) order since every added id exceeds every
-	// survivor id.
-	survIDs := make([]int32, 0, nSurv)
-	for _, id := range old.ID {
-		if gone[id] {
-			continue
-		}
-		survIDs = append(survIDs, id-shiftOf[id])
-	}
+	// survivor id. newPos maps each old position to its new one (−1 if
+	// removed), addR each added id's.
 	addIDs := make([]int32, added)
 	for i := range addIDs {
 		addIDs[i] = int32(nSurv + i)
 	}
-	sort.SliceStable(addIDs, func(x, y int) bool {
-		return next.Customers[addIDs[x]].Theta < next.Customers[addIDs[y]].Theta
-	})
-	i, j := 0, 0
-	for p := 0; p < n; p++ {
-		switch {
-		case i == len(survIDs):
-			v.ID[p] = addIDs[j]
-			j++
-		case j == len(addIDs) || next.Customers[survIDs[i]].Theta <= next.Customers[addIDs[j]].Theta:
-			v.ID[p] = survIDs[i]
-			i++
-		default:
-			v.ID[p] = addIDs[j]
-			j++
+	slices.SortFunc(addIDs, thetaIDCmp(next))
+	newPos := make([]int32, oldN)
+	addR := make([]int32, added)
+	var patch []int32 // new positions of re-priced survivors
+	addTheta := func(j int) float64 {
+		if j == added {
+			return math.Inf(1)
 		}
+		return next.Customers[addIDs[j]].Theta
 	}
-	pos := make([]int32, n) // inverse of v.ID: new id → position
-	for p, id := range v.ID {
-		c := &next.Customers[id]
-		v.Theta[p] = c.Theta
-		v.R[p] = c.R
-		v.Demand[p] = c.Demand
-		v.Profit[p] = c.Profit
-		pos[id] = int32(p)
+	// Survivors' columns move in runs that no removal or arrival splits:
+	// run is the current one, copied when it ends.
+	var run struct{ op, p, len int }
+	flush := func() {
+		src, dst := run.op, run.p
+		copy(v.Theta[dst:dst+run.len], old.Theta[src:src+run.len])
+		copy(v.R[dst:dst+run.len], old.R[src:src+run.len])
+		copy(v.Demand[dst:dst+run.len], old.Demand[src:src+run.len])
+		copy(v.Profit[dst:dst+run.len], old.Profit[src:src+run.len])
 	}
-
-	// Radial order: same filter-and-merge on (radius, position). Survivor
-	// radii are untouched by any delta, and the merge above preserves
-	// survivors' relative positions, so mapping old.byR through pos keeps
-	// it sorted.
-	survR := make([]int32, 0, nSurv)
-	for _, op := range old.byR {
-		id := old.ID[op]
-		if gone[id] {
+	op, j, nextTheta := 0, 0, addTheta(0)
+	for p := 0; p < n; p++ {
+		took := false
+		for op < oldN {
+			oid := old.ID[op]
+			nid := newID[oid]
+			if nid < 0 {
+				newPos[op] = -1
+				op++
+				continue
+			}
+			if old.Theta[op] <= nextTheta {
+				v.ID[p] = nid
+				if repriced[oid] {
+					patch = append(patch, int32(p))
+				}
+				newPos[op] = int32(p)
+				if op == run.op+run.len && p == run.p+run.len {
+					run.len++
+				} else {
+					flush()
+					run.op, run.p, run.len = op, p, 1
+				}
+				op++
+				took = true
+			}
+			break
+		}
+		if took {
 			continue
 		}
-		survR = append(survR, pos[id-shiftOf[id]])
+		c := &next.Customers[addIDs[j]]
+		v.ID[p] = addIDs[j]
+		v.Theta[p], v.R[p], v.Demand[p], v.Profit[p] = c.Theta, c.R, c.Demand, c.Profit
+		addR[addIDs[j]-int32(nSurv)] = int32(p)
+		j++
+		nextTheta = addTheta(j)
 	}
-	addR := make([]int32, added)
-	for t := range addR {
-		addR[t] = pos[nSurv+t]
+	flush()
+	for ; op < oldN; op++ {
+		newPos[op] = -1
 	}
-	sort.Slice(addR, func(x, y int) bool {
-		rx, ry := v.R[addR[x]], v.R[addR[y]]
-		if rx < ry {
-			return true
-		}
-		if ry < rx {
-			return false
-		}
-		return addR[x] < addR[y]
-	})
-	i, j = 0, 0
+	for _, p := range patch {
+		c := &next.Customers[v.ID[p]]
+		v.Demand[p], v.Profit[p] = c.Demand, c.Profit
+	}
+
+	// Radial order: the same merge on (radius, position), walking old.byR
+	// and skipping removed survivors. Survivor radii are untouched by any
+	// delta, and the merge above preserves survivors' relative positions,
+	// so mapping old.byR through newPos keeps it sorted.
+	slices.SortFunc(addR, v.radposCmp)
+	k := 0
+	j = 0
 	for p := 0; p < n; p++ {
-		switch {
-		case i == len(survR):
-			v.byR[p] = addR[j]
-			j++
-		case j == len(addR) || radposLess(v.R[survR[i]], survR[i], v.R[addR[j]], addR[j]):
-			v.byR[p] = survR[i]
-			i++
-		default:
-			v.byR[p] = addR[j]
-			j++
+		sp := int32(-1)
+		for ; k < oldN; k++ {
+			if sp = newPos[old.byR[k]]; sp >= 0 {
+				break
+			}
 		}
-	}
-	for p, q := range v.byR {
-		v.sortedR[p] = v.R[q]
+		if k < oldN {
+			r := old.sortedR[k]
+			if j == added || radposLess(r, sp, v.R[addR[j]], addR[j]) {
+				v.byR[p], v.sortedR[p] = sp, r
+				k++
+				continue
+			}
+		}
+		q := addR[j]
+		v.byR[p], v.sortedR[p] = q, v.R[q]
+		j++
 	}
 	return v
 }
@@ -234,6 +257,33 @@ func radposLess(ra float64, pa int32, rb float64, pb int32) bool {
 		return false
 	}
 	return pa < pb
+}
+
+// radposCmp orders positions p, q of v by (radius, position), the byR
+// order, as a slices.SortFunc comparator.
+func (v *View) radposCmp(p, q int32) int {
+	switch {
+	case radposLess(v.R[p], p, v.R[q], q):
+		return -1
+	case radposLess(v.R[q], q, v.R[p], p):
+		return 1
+	}
+	return 0
+}
+
+// thetaIDCmp orders customer ids of in by (angle, id), the View's angular
+// order, as a slices.SortFunc comparator.
+func thetaIDCmp(in *model.Instance) func(a, b int32) int {
+	return func(a, b int32) int {
+		ta, tb := in.Customers[a].Theta, in.Customers[b].Theta
+		switch {
+		case ta < tb:
+			return -1
+		case tb < ta:
+			return 1
+		}
+		return cmp.Compare(a, b)
+	}
 }
 
 // RadialRun returns the half-open run [lo, hi) of the radius-sorted index
@@ -273,7 +323,7 @@ func (v *View) AppendEligible(a model.Antenna, out []int32) []int32 {
 		base := len(out)
 		out = append(out, v.byR[rlo:rhi]...)
 		seg := out[base:]
-		sort.Slice(seg, func(x, y int) bool { return seg[x] < seg[y] })
+		slices.Sort(seg)
 		return out
 	}
 	loR, hiR := a.RadialBounds()

@@ -256,7 +256,7 @@ func TestRebaseMatchesFreshBuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s delta %d: %v", tr.Name, k, err)
 			}
-			view = Rebase(view, next, d.Remove, len(d.Add))
+			view = Rebase(view, next, d)
 			viewsIdentical(t, tr.Name+" after delta "+string(rune('0'+k)), view, New(next))
 			cur = next
 		}
@@ -290,7 +290,7 @@ func TestRebaseTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viewsIdentical(t, "ties", Rebase(New(in), next, d.Remove, len(d.Add)), New(next))
+	viewsIdentical(t, "ties", Rebase(New(in), next, d), New(next))
 }
 
 // TestRebaseDegenerate covers the empty extremes: a delta removing every
@@ -302,12 +302,12 @@ func TestRebaseDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := Rebase(New(in), empty, all.Remove, 0)
+	ev := Rebase(New(in), empty, all)
 	viewsIdentical(t, "drain", ev, New(empty))
 	refill := model.Delta{Add: []model.Customer{{Theta: 1, R: 2, Demand: 3}, {Theta: 0.5, R: 1, Demand: 1}}}
 	next, err := model.ApplyDelta(empty, refill)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viewsIdentical(t, "refill", Rebase(ev, next, nil, len(refill.Add)), New(next))
+	viewsIdentical(t, "refill", Rebase(ev, next, refill), New(next))
 }

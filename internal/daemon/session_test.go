@@ -156,6 +156,9 @@ func TestSessionLifecycleDifferential(t *testing.T) {
 	if dr.Stats.Deltas != int64(len(tr.Deltas)) || dr.Stats.Solves != int64(len(tr.Deltas))+1 {
 		t.Errorf("final stats %+v, want %d deltas / %d solves", dr.Stats, len(tr.Deltas), len(tr.Deltas)+1)
 	}
+	if st := dr.Stats; st.WindowsSolved == 0 || st.WindowsPruned+st.WindowsSolved > st.WindowsEnumerated {
+		t.Errorf("final stats %+v: want windows solved > 0 and pruned+solved <= enumerated", st)
+	}
 	// The session is gone: further deltas and a second delete both 404.
 	resp, _ = doJSON(t, ts.Client(), http.MethodPost, ts.URL+"/session/"+sid+"/delta", sessionDeltaBody(t, tr.Deltas[0]))
 	if resp.StatusCode != http.StatusNotFound {
@@ -350,6 +353,12 @@ func TestSessionCapAndEviction(t *testing.T) {
 	}
 	if got := intVar("sectord.sessions.solves"); got < 2 {
 		t.Errorf("sessions.solves = %d, want >= 2 (retired + live)", got)
+	}
+	enumerated, pruned, solved := intVar("sectord.sessions.windows_enumerated"),
+		intVar("sectord.sessions.windows_pruned"), intVar("sectord.sessions.windows_solved")
+	if solved == 0 || pruned+solved > enumerated {
+		t.Errorf("sessions.windows_{enumerated,pruned,solved} = %d, %d, %d: want solved > 0 and pruned+solved <= enumerated",
+			enumerated, pruned, solved)
 	}
 }
 

@@ -188,6 +188,9 @@ func addStats(a, b session.Stats) session.Stats {
 	a.SweepsDropped += b.SweepsDropped
 	a.StepsReused += b.StepsReused
 	a.StepsResolved += b.StepsResolved
+	a.WindowsEnumerated += b.WindowsEnumerated
+	a.WindowsPruned += b.WindowsPruned
+	a.WindowsSolved += b.WindowsSolved
 	return a
 }
 
@@ -225,22 +228,28 @@ const idempotentHeader = "X-Sectord-Idempotent"
 
 // sessionStats is the wire form of session.Stats.
 type sessionStats struct {
-	Solves        int64 `json:"solves"`
-	Deltas        int64 `json:"deltas"`
-	SweepsKept    int64 `json:"sweeps_kept"`
-	SweepsDropped int64 `json:"sweeps_dropped"`
-	StepsReused   int64 `json:"steps_reused"`
-	StepsResolved int64 `json:"steps_resolved"`
+	Solves            int64 `json:"solves"`
+	Deltas            int64 `json:"deltas"`
+	SweepsKept        int64 `json:"sweeps_kept"`
+	SweepsDropped     int64 `json:"sweeps_dropped"`
+	StepsReused       int64 `json:"steps_reused"`
+	StepsResolved     int64 `json:"steps_resolved"`
+	WindowsEnumerated int64 `json:"windows_enumerated"`
+	WindowsPruned     int64 `json:"windows_pruned"`
+	WindowsSolved     int64 `json:"windows_solved"`
 }
 
 func newSessionStats(st session.Stats) sessionStats {
 	return sessionStats{
-		Solves:        st.Solves,
-		Deltas:        st.Deltas,
-		SweepsKept:    st.SweepsKept,
-		SweepsDropped: st.SweepsDropped,
-		StepsReused:   st.StepsReused,
-		StepsResolved: st.StepsResolved,
+		Solves:            st.Solves,
+		Deltas:            st.Deltas,
+		SweepsKept:        st.SweepsKept,
+		SweepsDropped:     st.SweepsDropped,
+		StepsReused:       st.StepsReused,
+		StepsResolved:     st.StepsResolved,
+		WindowsEnumerated: st.WindowsEnumerated,
+		WindowsPruned:     st.WindowsPruned,
+		WindowsSolved:     st.WindowsSolved,
 	}
 }
 
@@ -675,5 +684,8 @@ func (s *Server) sessionVars() []struct {
 		{"sectord.sessions.sweeps_dropped", intFunc(func() int64 { return s.sessions.totals().SweepsDropped })},
 		{"sectord.sessions.steps_reused", intFunc(func() int64 { return s.sessions.totals().StepsReused })},
 		{"sectord.sessions.steps_resolved", intFunc(func() int64 { return s.sessions.totals().StepsResolved })},
+		{"sectord.sessions.windows_enumerated", intFunc(func() int64 { return s.sessions.totals().WindowsEnumerated })},
+		{"sectord.sessions.windows_pruned", intFunc(func() int64 { return s.sessions.totals().WindowsPruned })},
+		{"sectord.sessions.windows_solved", intFunc(func() int64 { return s.sessions.totals().WindowsSolved })},
 	}
 }

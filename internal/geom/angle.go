@@ -24,6 +24,9 @@ const Eps = 1e-9
 // [0, 2π). NaN is returned unchanged; ±Inf normalize to NaN, matching
 // math.Mod semantics.
 func NormAngle(theta float64) float64 {
+	if 0 <= theta && theta < TwoPi {
+		return theta // already canonical; math.Mod would return it unchanged
+	}
 	t := math.Mod(theta, TwoPi)
 	if t < 0 {
 		t += TwoPi

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"sectorpack/internal/geom"
 )
@@ -144,15 +145,16 @@ func ApplyDelta(in *Instance, d Delta) (*Instance, error) {
 		out.Antennas[ch.Antenna].Capacity = ch.Capacity
 	}
 	if len(d.Remove) > 0 {
-		gone := make(map[int]bool, len(d.Remove))
-		for _, id := range d.Remove {
-			gone[id] = true
-		}
-		kept := out.Customers[:0]
-		for _, c := range out.Customers {
-			if !gone[c.ID] {
-				kept = append(kept, c)
+		// Close each removed id's gap by moving the segment after it down.
+		removed := slices.Clone(d.Remove)
+		slices.Sort(removed)
+		kept := out.Customers[:removed[0]]
+		for t, id := range removed {
+			end := len(out.Customers)
+			if t+1 < len(removed) {
+				end = removed[t+1]
 			}
+			kept = append(kept, out.Customers[id+1:end]...)
 		}
 		out.Customers = kept
 	}

@@ -62,15 +62,18 @@ type Options struct {
 	Core core.Options
 }
 
-// Stats counts a session's incremental-reuse behavior; sectord exports the
-// store-wide sums as expvars.
+// Stats counts a session's incremental-reuse behavior and its engine's
+// candidate-window work; sectord exports the store-wide sums as expvars.
 type Stats struct {
-	Solves        int64 // total solves, including the initial one
-	Deltas        int64 // deltas applied
-	SweepsKept    int64 // per-antenna sweeps that survived a Rebase
-	SweepsDropped int64 // sweeps invalidated (or never built) at a Rebase
-	StepsReused   int64 // greedy steps replayed from the previous trace
-	StepsResolved int64 // greedy steps re-solved against the engine
+	Solves            int64 // total solves, including the initial one
+	Deltas            int64 // deltas applied
+	SweepsKept        int64 // per-antenna sweeps that survived a Rebase
+	SweepsDropped     int64 // sweeps invalidated (or never built) at a Rebase
+	StepsReused       int64 // greedy steps replayed from the previous trace
+	StepsResolved     int64 // greedy steps re-solved against the engine
+	WindowsEnumerated int64 // candidate windows the engine enumerated
+	WindowsPruned     int64 // windows the Dantzig bound or tie rule skipped
+	WindowsSolved     int64 // windows handed to the knapsack solver
 }
 
 // stepRec is one recorded greedy step: antenna processed (in capacity
@@ -185,8 +188,12 @@ func (s *Session) Solution() model.Solution { return s.sol }
 // mutating).
 func (s *Session) Instance() *model.Instance { return s.cur }
 
-// Stats returns a snapshot of the session's reuse counters.
-func (s *Session) Stats() Stats { return s.stats }
+// Stats returns a snapshot of the session's reuse and window counters.
+func (s *Session) Stats() Stats {
+	st, w := s.stats, s.eng.Work()
+	st.WindowsEnumerated, st.WindowsPruned, st.WindowsSolved = w.Enumerated, w.Pruned, w.Solved
+	return st
+}
 
 // solve dispatches one re-solve. prev/ru feed the greedy cascade and are
 // nil for fresh solves and non-cascade solvers.

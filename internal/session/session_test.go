@@ -158,6 +158,9 @@ func TestCascadeReusesWarmState(t *testing.T) {
 	if st.SweepsKept < st.SweepsDropped {
 		t.Errorf("localized churn dropped more sweeps (%d) than it kept (%d)", st.SweepsDropped, st.SweepsKept)
 	}
+	if st.WindowsSolved == 0 || st.WindowsPruned == 0 || st.WindowsPruned+st.WindowsSolved > st.WindowsEnumerated {
+		t.Errorf("window counters %+v: want solved > 0, pruned > 0 and pruned+solved <= enumerated", st)
+	}
 }
 
 // TestSessionRecoversAfterFailedSolve: a cancelled re-solve leaves the
