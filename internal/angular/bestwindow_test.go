@@ -22,7 +22,7 @@ func knapsackExact(items []knapsack.Item, capacity int64) (int64, error) {
 func singleAntennaOracle(in *model.Instance) int64 {
 	n := in.N()
 	a := in.Antennas[0]
-	cands := Candidates(in, 0)
+	cands := scanCandidates(in, 0)
 	var best int64
 	for mask := 0; mask < 1<<n; mask++ {
 		var demand, profit int64
@@ -97,7 +97,7 @@ func TestBestWindowParallelMatchesSequential(t *testing.T) {
 	}
 	// sequential re-evaluation
 	var best int64
-	for _, alpha := range Candidates(in, 0) {
+	for _, alpha := range scanCandidates(in, 0) {
 		items, _ := WindowItems(in, 0, alpha, nil)
 		if len(items) == 0 {
 			continue

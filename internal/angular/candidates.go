@@ -13,60 +13,29 @@ package angular
 
 import (
 	"context"
-	"sort"
 
-	"sectorpack/internal/cols"
 	"sectorpack/internal/geom"
 	"sectorpack/internal/knapsack"
 	"sectorpack/internal/model"
-	"sectorpack/internal/sweep"
 )
 
-// Candidates returns the candidate start angles for the given antenna:
-// the angles of all customers radially within reach, deduplicated and
-// sorted ascending. By the candidate-orientation lemma these suffice for
-// optimality in the Sectors and Angles variants.
-func Candidates(in *model.Instance, antenna int) []float64 {
-	a := in.Antennas[antenna]
-	out := make([]float64, 0, in.N())
-	for _, c := range in.Customers {
-		if a.InRange(c) {
-			out = append(out, c.Theta)
-		}
-	}
-	sort.Float64s(out)
-	return dedupAngles(out)
-}
-
-// CandidatesAll returns Candidates for every antenna at once, over one
-// shared columnar view: the instance is sorted once (not scanned and
-// sorted per antenna), each antenna's angles are gathered through the
-// radial pre-filter, and on large instances the per-antenna work fans out
-// across Workers() goroutines. The merge is deterministic — antenna j's
-// slice lands at index j and is a pure function of the view — so the
-// output is identical to calling Candidates(in, j) for each j, on one
-// worker or many.
+// CandidatesAll returns every antenna's candidate start angles — the
+// angles of the customers radially within its reach, deduplicated within
+// geom.Eps and sorted ascending, which by the candidate-orientation lemma
+// suffice for optimality in the Sectors and Angles variants. It prewarms
+// one Engine (one columnar sort, per-antenna sweeps built in parallel on
+// large instances) and returns Engine.Candidates for each antenna, so the
+// output is identical on one worker or many.
 //
-// Cancellation: ctx is consulted before every antenna; a cancelled call
-// returns ctx.Err() and no slices.
+// Cancellation: a cancelled call returns ctx.Err() and no slices.
 func CandidatesAll(ctx context.Context, in *model.Instance) ([][]float64, error) {
-	m := len(in.Antennas)
-	out := make([][]float64, m)
-	if m == 0 {
-		return out, ctx.Err()
+	e := NewEngine(in)
+	if err := e.Prewarm(ctx); err != nil {
+		return nil, err
 	}
-	v := cols.New(in)
-	workers := min(antennaWorkers(v.Len(), m), m)
-	pos := make([][]int32, workers) // per-worker eligible-position buffer
-	if sweep.Each(ctx, m, workers, func(w, j int) {
-		pos[w] = v.AppendEligible(in.Antennas[j], pos[w][:0])
-		angles := make([]float64, len(pos[w]))
-		for t, p := range pos[w] {
-			angles[t] = v.Theta[p] // ascending: positions are theta-sorted
-		}
-		out[j] = dedupAngles(angles)
-	}) < m {
-		return nil, ctx.Err()
+	out := make([][]float64, len(in.Antennas))
+	for j := range out {
+		out[j] = e.Candidates(j)
 	}
 	return out, nil
 }

@@ -2,6 +2,8 @@ package angular
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"sectorpack/internal/geom"
@@ -11,6 +13,32 @@ import (
 func instWith(customers []model.Customer, antennas []model.Antenna, v model.Variant) *model.Instance {
 	in := &model.Instance{Variant: v, Customers: customers, Antennas: antennas}
 	return in.Normalize()
+}
+
+// scanCandidates is the reference candidate list: a scan of every
+// customer with InRange, a sort and a dedup, with no columnar view or
+// sweep. Engine.Candidates must return exactly this.
+func scanCandidates(in *model.Instance, antenna int) []float64 {
+	a := in.Antennas[antenna]
+	out := make([]float64, 0, in.N())
+	for _, c := range in.Customers {
+		if a.InRange(c) {
+			out = append(out, c.Theta)
+		}
+	}
+	sort.Float64s(out)
+	return dedupAngles(out)
+}
+
+// engineCandidates returns a fresh engine's candidates for the antenna and
+// checks them against the scan reference.
+func engineCandidates(t *testing.T, in *model.Instance, antenna int) []float64 {
+	t.Helper()
+	got, want := NewEngine(in).Candidates(antenna), scanCandidates(in, antenna)
+	if !slices.Equal(got, want) {
+		t.Fatalf("antenna %d: engine candidates %v, scan reference %v", antenna, got, want)
+	}
+	return got
 }
 
 func TestCandidatesFilterAndDedup(t *testing.T) {
@@ -24,7 +52,7 @@ func TestCandidatesFilterAndDedup(t *testing.T) {
 		[]model.Antenna{{Rho: 1, Range: 10, Capacity: 5}},
 		model.Sectors,
 	)
-	c := Candidates(in, 0)
+	c := engineCandidates(t, in, 0)
 	if len(c) != 2 {
 		t.Fatalf("candidates = %v, want [1.0 3.0] (dedup + range filter)", c)
 	}
@@ -40,7 +68,7 @@ func TestCandidatesUnboundedRange(t *testing.T) {
 		[]model.Antenna{{Rho: 1, Range: 0, Capacity: 5}}, // unbounded
 		model.Angles,
 	)
-	if c := Candidates(in, 0); len(c) != 1 {
+	if c := engineCandidates(t, in, 0); len(c) != 1 {
 		t.Fatalf("unbounded antenna should see every customer, got %v", c)
 	}
 }
@@ -117,7 +145,7 @@ func TestCandidateOrientationLemma(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 50; trial++ {
 		in := randInstance(rng, 1+rng.Intn(10), 1, model.Sectors)
-		bestCand := coveredMaxProfit(in, Candidates(in, 0))
+		bestCand := coveredMaxProfit(in, engineCandidates(t, in, 0))
 		var randomAlphas []float64
 		for k := 0; k < 200; k++ {
 			randomAlphas = append(randomAlphas, rng.Float64()*geom.TwoPi)

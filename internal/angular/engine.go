@@ -3,7 +3,6 @@ package angular
 import (
 	"cmp"
 	"context"
-	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -18,9 +17,9 @@ import (
 
 // maxWorkersVar caps the worker count of every parallel path in this
 // package (candidate-window evaluation, Prewarm's per-antenna sweep
-// builds, CandidatesAll); 0 means GOMAXPROCS. Results are bit-identical at
-// any setting — the knob exists so the scalar-vs-parallel differential
-// tests and sectorbench can pin each path explicitly.
+// builds); 0 means GOMAXPROCS. Results are bit-identical at any setting —
+// the knob exists so the scalar-vs-parallel differential tests and
+// sectorbench can pin each path explicitly.
 var maxWorkersVar atomic.Int32
 
 // SetMaxWorkers caps the package's parallel paths at n workers (n <= 1
@@ -169,20 +168,11 @@ func candidatesFromSweep(s *Sweep) []float64 {
 	return out
 }
 
-// prewarmParallelMin gates the per-antenna fan-outs (Prewarm,
-// CandidatesAll): below this much total work (customers × antennas)
-// goroutine spawn costs more than it saves and one worker runs inline. The
-// threshold never changes results, only cost.
+// prewarmParallelMin gates Prewarm's per-antenna fan-out: below this much
+// total work (customers × antennas) goroutine spawn costs more than it
+// saves and one worker runs inline. The threshold never changes results,
+// only cost.
 const prewarmParallelMin = 1 << 14
-
-// antennaWorkers is the pool size for a per-antenna fan-out over n
-// customers and m antennas.
-func antennaWorkers(n, m int) int {
-	if n*m < prewarmParallelMin {
-		return 1
-	}
-	return Workers()
-}
 
 // Prewarm builds every antenna's sweep and candidate list up front,
 // fanning the per-antenna builds across Workers() goroutines on large
@@ -200,7 +190,11 @@ func (e *Engine) Prewarm(ctx context.Context) error {
 		return ctx.Err()
 	}
 	view := e.View() // built serially, before the fan-out
-	if sweep.Each(ctx, m, antennaWorkers(view.Len(), m), func(_, j int) { e.prewarmAntenna(view, j) }) < m {
+	workers := Workers()
+	if view.Len()*m < prewarmParallelMin {
+		workers = 1
+	}
+	if sweep.Each(ctx, m, workers, func(_, j int) { e.prewarmAntenna(view, j) }) < m {
 		return ctx.Err()
 	}
 	return nil
@@ -237,7 +231,7 @@ func (e *Engine) BestWindow(ctx context.Context, antenna int, active []bool, opt
 	s.forEachRange(func(start, count int, alpha float64) bool {
 		e.wins = append(e.wins, windowCand{
 			alpha: alpha,
-			bound: s.dantzigRange(start, count, active, capacity),
+			bound: s.dantzigRange(start, count, active, capacity).Floor(),
 			start: int32(start),
 			count: int32(count),
 		})
@@ -270,7 +264,7 @@ func (e *Engine) BestWindowAt(ctx context.Context, antenna int, alphas []float64
 		e.posEnd = append(e.posEnd, int32(len(e.posBuf)))
 		e.wins = append(e.wins, windowCand{
 			alpha: alpha,
-			bound: s.dantzigSet(seg, active, capacity),
+			bound: s.dantzigSet(seg, active, capacity).Floor(),
 			start: int32(off),
 			count: -1,
 		})
@@ -279,6 +273,25 @@ func (e *Engine) BestWindowAt(ctx context.Context, antenna int, alphas []float64
 		return Window{}, nil
 	}
 	return e.evaluate(ctx, s, capacity, active, opt, true)
+}
+
+// DantzigBound returns the largest fractional-knapsack (Dantzig) value
+// over the antenna's windows at its candidate angles, all customers
+// active. Window membership follows Covers' tolerance semantics
+// (appendCovered), so the value bounds the antenna's best 0/1 window on
+// every instance Validate accepts, not only on general-position ones.
+// Each candidate costs a binary search plus a walk of the sweep's density
+// order up to the split item: O(|Candidates| · (log n + Len)) at worst,
+// allocation-free once the sweep is warm.
+func (e *Engine) DantzigBound(antenna int) float64 {
+	s := e.Sweep(antenna)
+	capacity := e.in.Antennas[antenna].Capacity
+	var best float64
+	for _, alpha := range e.Candidates(antenna) {
+		e.posBuf = s.appendCovered(alpha, e.posBuf[:0])
+		best = max(best, s.dantzigSet(e.posBuf, nil, capacity).Value())
+	}
+	return best
 }
 
 // parallelThreshold is the candidate count below which the fan-out is not
@@ -479,16 +492,12 @@ func (e *Engine) countWork(claimed []int32) {
 	}
 }
 
-// dantzigRange computes the Dantzig fractional upper bound of the window
-// given as a circular position range, over active members only, floored.
-// The fractional bound walks the sweep's density order; the 0/1 optimum is
-// an integer no larger than it, so flooring the split item's share with
-// integer arithmetic keeps the result an upper bound on that optimum — and
-// no float rounding can pull it below.
-func (s *Sweep) dantzigRange(start, count int, active []bool, capacity int64) int64 {
+// dantzigRange runs the Dantzig fill of the window given as a circular
+// position range, over active members only, walking the sweep's density
+// order. BestWindow prunes on its Floor.
+func (s *Sweep) dantzigRange(start, count int, active []bool, capacity int64) knapsack.Fill {
 	n := len(s.ids)
-	rem := capacity
-	var bound int64
+	f := knapsack.NewFill(capacity)
 	for _, p32 := range s.density {
 		p := int(p32)
 		rel := p - start
@@ -501,27 +510,20 @@ func (s *Sweep) dantzigRange(start, count int, active []bool, capacity int64) in
 		if active != nil && !active[s.ids[p]] {
 			continue
 		}
-		w := s.weights[p]
-		if w <= rem {
-			bound += s.profits[p]
-			rem -= w
-			if rem == 0 {
-				break
-			}
-		} else {
-			bound += floorFrac(s.profits[p], rem, w)
+		if f.Add(s.profits[p], s.weights[p]) {
 			break
 		}
 	}
-	return bound
+	return f
 }
 
 // dantzigSet is dantzigRange for an explicit member-position set; the set
 // must be sorted or not — only membership matters. It marks the members
 // and walks the density order, so cost is O(set + prefix of density walk).
-func (s *Sweep) dantzigSet(set []int32, active []bool, capacity int64) int64 {
+func (s *Sweep) dantzigSet(set []int32, active []bool, capacity int64) knapsack.Fill {
+	f := knapsack.NewFill(capacity)
 	if len(set) == 0 {
-		return 0
+		return f
 	}
 	if cap(s.markBuf) < len(s.ids) {
 		s.markBuf = make([]int32, len(s.ids))
@@ -536,8 +538,6 @@ func (s *Sweep) dantzigSet(set []int32, active []bool, capacity int64) int64 {
 	for _, p := range set {
 		s.markBuf[p] = s.markEpoch
 	}
-	rem := capacity
-	var bound int64
 	for _, p32 := range s.density {
 		p := int(p32)
 		if s.markBuf[p] != s.markEpoch {
@@ -546,32 +546,9 @@ func (s *Sweep) dantzigSet(set []int32, active []bool, capacity int64) int64 {
 		if active != nil && !active[s.ids[p]] {
 			continue
 		}
-		w := s.weights[p]
-		if w <= rem {
-			bound += s.profits[p]
-			rem -= w
-			if rem == 0 {
-				break
-			}
-		} else {
-			bound += floorFrac(s.profits[p], rem, w)
+		if f.Add(s.profits[p], s.weights[p]) {
 			break
 		}
 	}
-	return bound
-}
-
-// floorFrac returns floor(p·rem/w), the split item's share of the floored
-// Dantzig bound, computed in integers (a float could round across an
-// integer and break the pruning soundness proof). If the product would
-// overflow it falls back to p, which is still an upper bound on the share
-// since rem < w.
-func floorFrac(p, rem, w int64) int64 {
-	if p == 0 || rem == 0 {
-		return 0
-	}
-	if p > math.MaxInt64/rem {
-		return p
-	}
-	return p * rem / w
+	return f
 }

@@ -127,7 +127,7 @@ func TestBestWindowAtMatchesScanReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	for trial := 0; trial < 40; trial++ {
 		in := randInstance(rng, 1+rng.Intn(25), 1, model.Sectors)
-		alphas := append([]float64{}, Candidates(in, 0)...)
+		alphas := append([]float64{}, scanCandidates(in, 0)...)
 		for k := 0; k < 4; k++ {
 			alphas = append(alphas, rng.Float64()*6.283)
 		}
@@ -222,7 +222,7 @@ func TestBestWindowTiesScalarVsParallel(t *testing.T) {
 				active[i] = rng.Intn(4) != 0
 			}
 		}
-		alphas := append([]float64{}, Candidates(in, 0)...)
+		alphas := append([]float64{}, scanCandidates(in, 0)...)
 		for k := 0; k < 4; k++ {
 			alphas = append(alphas, rng.Float64()*geom.TwoPi)
 		}
@@ -250,7 +250,7 @@ func TestBestWindowTiesScalarVsParallel(t *testing.T) {
 					t.Fatalf("trial %d opt=%+v workers=%d: BestWindowAt %+v != scan %+v", trial, opt, workers, gotAt, wantAt)
 				}
 				w := eng.Work()
-				if w.Enumerated != int64(len(Candidates(in, 0))+len(alphas)) || w.Pruned+w.Solved > w.Enumerated {
+				if w.Enumerated != int64(len(scanCandidates(in, 0))+len(alphas)) || w.Pruned+w.Solved > w.Enumerated {
 					t.Fatalf("trial %d: inconsistent work counters %+v", trial, w)
 				}
 				if workers == 1 {
@@ -285,7 +285,7 @@ func TestDantzigBoundDominatesOptimum(t *testing.T) {
 		capacity := in.Antennas[0].Capacity
 		n := s.Len()
 		s.forEachRange(func(start, count int, alpha float64) bool {
-			bound := s.dantzigRange(start, count, active, capacity)
+			bound := s.dantzigRange(start, count, active, capacity).Floor()
 			var items []knapsack.Item
 			var set []int32
 			for k := start; k < start+count; k++ {
@@ -295,7 +295,7 @@ func TestDantzigBoundDominatesOptimum(t *testing.T) {
 					set = append(set, int32(p))
 				}
 			}
-			if setBound := s.dantzigSet(set, active, capacity); setBound != bound {
+			if setBound := s.dantzigSet(set, active, capacity).Floor(); setBound != bound {
 				t.Fatalf("window at %v: dantzigSet %d != dantzigRange %d", alpha, setBound, bound)
 			}
 			opt, err := knapsackExact(items, capacity)
@@ -322,23 +322,5 @@ func TestEngineCachesSweeps(t *testing.T) {
 	c1, c2 := eng.Candidates(0), eng.Candidates(0)
 	if len(c1) > 0 && &c1[0] != &c2[0] {
 		t.Fatal("Candidates not cached per antenna")
-	}
-}
-
-// TestFloorFrac pins the integer floor arithmetic of the split item,
-// including the overflow fallback.
-func TestFloorFrac(t *testing.T) {
-	cases := []struct{ p, rem, w, want int64 }{
-		{10, 3, 4, 7},                        // floor(30/4) = 7 < 7.5
-		{10, 4, 4, 10},                       // exact division
-		{9, 2, 3, 6},                         // exact division below the whole item
-		{0, 3, 4, 0},                         // zero profit
-		{10, 0, 4, 0},                        // no room
-		{1 << 62, 1 << 10, 1 << 20, 1 << 62}, // overflow: fall back to p
-	}
-	for _, c := range cases {
-		if got := floorFrac(c.p, c.rem, c.w); got != c.want {
-			t.Errorf("floorFrac(%d,%d,%d) = %d, want %d", c.p, c.rem, c.w, got, c.want)
-		}
 	}
 }

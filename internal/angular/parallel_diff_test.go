@@ -10,8 +10,8 @@ import (
 )
 
 // largeDiffInstance is big enough (n*m >= prewarmParallelMin) that
-// CandidatesAll and Prewarm take their worker-pool paths when more than one
-// worker is allowed.
+// Prewarm, and CandidatesAll through it, take the worker-pool path when
+// more than one worker is allowed.
 func largeDiffInstance(t *testing.T) *model.Instance {
 	t.Helper()
 	in := gen.MustGenerate(gen.Config{Family: gen.Hotspot, Seed: 9, N: 3000, M: 6, MinRange: 2})
@@ -42,7 +42,7 @@ func TestCandidatesAllScalarVsParallel(t *testing.T) {
 		t.Fatalf("got %d/%d antenna slices, want %d", len(scalar), len(parallel), in.M())
 	}
 	for j := 0; j < in.M(); j++ {
-		ref := Candidates(in, j)
+		ref := scanCandidates(in, j)
 		for path, got := range map[string][]float64{"scalar": scalar[j], "parallel": parallel[j]} {
 			if len(got) != len(ref) {
 				t.Fatalf("antenna %d %s path: %d candidates, reference has %d", j, path, len(got), len(ref))

@@ -33,7 +33,7 @@ func TestSweepMatchesCoveredScan(t *testing.T) {
 			}
 			return true
 		})
-		wantCands := len(Candidates(in, 0))
+		wantCands := len(scanCandidates(in, 0))
 		if seen != wantCands {
 			t.Fatalf("sweep enumerated %d windows, candidates say %d", seen, wantCands)
 		}

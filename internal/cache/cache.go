@@ -3,6 +3,7 @@ package cache
 import (
 	"container/list"
 	"context"
+	"encoding/binary"
 	"expvar"
 	"sync"
 
@@ -51,22 +52,21 @@ type flight struct {
 }
 
 // entry is one stored solution, in canonical coordinates. Owners are held
-// as int32 antenna indices in owner (sol.Assignment is nil): the owner
-// slice is the bulk of an entry, and every stored owner is below the
-// antenna count.
+// in owner as uvarints of owner+1 (sol.Assignment is nil): the owners are
+// the bulk of an entry, and below 127 antennas each takes one byte.
 type entry struct {
 	key    string
 	sol    model.Solution
 	orient []float64
-	owner  []int32
+	owner  []byte
 	size   int64
 }
 
 func newEntry(key string, canon model.Solution, size int64) *entry {
 	e := &entry{key: key, sol: canon, orient: canon.Assignment.Orientation, size: size}
-	e.owner = make([]int32, len(canon.Assignment.Owner))
-	for i, o := range canon.Assignment.Owner {
-		e.owner[i] = int32(o)
+	e.owner = make([]byte, 0, ownerBytes(canon.Assignment.Owner))
+	for _, o := range canon.Assignment.Owner {
+		e.owner = binary.AppendUvarint(e.owner, uint64(o+1))
 	}
 	e.sol.Assignment = nil
 	return e
@@ -77,18 +77,31 @@ func newEntry(key string, canon model.Solution, size int64) *entry {
 // the entry and must not be mutated.
 func (e *entry) solution() model.Solution {
 	sol := e.sol
-	sol.Assignment = &model.Assignment{Orientation: e.orient, Owner: make([]int, len(e.owner))}
-	for i, o := range e.owner {
-		sol.Assignment.Owner[i] = int(o)
+	owner := make([]int, 0, len(e.owner))
+	for b := e.owner; len(b) > 0; {
+		v, k := binary.Uvarint(b)
+		owner = append(owner, int(v)-1)
+		b = b[k:]
 	}
+	sol.Assignment = &model.Assignment{Orientation: e.orient, Owner: owner}
 	return sol
+}
+
+// ownerBytes is the encoded length of the owners in an entry.
+func ownerBytes(owner []int) int {
+	var buf [binary.MaxVarintLen64]byte
+	n := 0
+	for _, o := range owner {
+		n += binary.PutUvarint(buf[:], uint64(o+1))
+	}
+	return n
 }
 
 // entrySize approximates an entry's memory footprint for the byte budget.
 func entrySize(key string, sol model.Solution) int64 {
 	size := int64(len(key)) + 128 // struct, map, and list overhead
 	if sol.Assignment != nil {
-		size += int64(len(sol.Assignment.Orientation))*8 + int64(len(sol.Assignment.Owner))*4
+		size += int64(len(sol.Assignment.Orientation))*8 + int64(ownerBytes(sol.Assignment.Owner))
 	}
 	size += int64(len(sol.Algorithm) + len(sol.SolverUsed) + len(sol.FallbackReason) + len(sol.FallbackDetail))
 	return size

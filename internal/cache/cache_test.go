@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -294,5 +295,25 @@ func TestCacheServesPermutedDuplicate(t *testing.T) {
 	}
 	if got.Assignment.Profit(perm) != sol.Profit {
 		t.Fatalf("remapped profit %d != original %d", got.Assignment.Profit(perm), sol.Profit)
+	}
+}
+
+// TestEntryOwnersRoundTrip pins the entry's uvarint owner encoding:
+// unassigned, one-byte and multi-byte antenna indices come back unchanged,
+// and entrySize charges exactly the encoded bytes.
+func TestEntryOwnersRoundTrip(t *testing.T) {
+	owners := []int{model.Unassigned, 0, 1, 125, 126, 127, 300, 1 << 20, model.Unassigned}
+	sol := model.Solution{Profit: 7, Algorithm: "greedy", Assignment: &model.Assignment{Orientation: []float64{0.5}, Owner: owners}}
+	e := newEntry("k", sol, entrySize("k", sol))
+	if got := e.solution().Assignment.Owner; !slices.Equal(got, owners) {
+		t.Fatalf("owners = %v, want %v", got, owners)
+	}
+	// Owners up to 126 (stored as owner+1 < 128) take one byte each (six
+	// here), 127 and 300 take two, 1<<20 takes three.
+	if len(e.owner) != 13 {
+		t.Fatalf("encoded owners take %d bytes, want 13", len(e.owner))
+	}
+	if want := int64(len("k")) + 128 + 8 + 13 + int64(len("greedy")); e.size != want {
+		t.Fatalf("entry size %d, want %d", e.size, want)
 	}
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"context"
+
 	"sectorpack/internal/angular"
-	"sectorpack/internal/knapsack"
 	"sectorpack/internal/model"
 )
 
@@ -15,24 +16,23 @@ import (
 // at most C_j, so profit(S_j) is at most the Dantzig bound of that window;
 // summing over j gives the bound. Disjointness constraints only shrink the
 // optimum, so the bound also holds for DisjointAngles.
+//
+// UpperBound builds (and prewarms) one engine; a caller that already holds
+// one for the instance should use UpperBoundWarm.
 func UpperBound(in *model.Instance) float64 {
-	total := float64(in.TotalProfit())
+	eng := angular.NewEngine(in)
+	_ = eng.Prewarm(context.Background()) // an uncancellable context: cannot fail
+	return UpperBoundWarm(eng)
+}
+
+// UpperBoundWarm is UpperBound over a caller-maintained engine, reusing its
+// sweeps; the value is bit-identical to UpperBound on the engine's
+// instance.
+func UpperBoundWarm(eng *angular.Engine) float64 {
+	in := eng.Instance()
 	var sum float64
 	for j := range in.Antennas {
-		best := 0.0
-		for _, alpha := range angular.Candidates(in, j) {
-			items, _ := angular.WindowItems(in, j, alpha, nil)
-			if len(items) == 0 {
-				continue
-			}
-			if b := knapsack.FractionalBound(items, in.Antennas[j].Capacity); b > best {
-				best = b
-			}
-		}
-		sum += best
+		sum += eng.DantzigBound(j)
 	}
-	if sum < total {
-		return sum
-	}
-	return total
+	return min(sum, float64(in.TotalProfit()))
 }

@@ -84,13 +84,14 @@ func TestBestWindowConstrainedMatchesBruteForce(t *testing.T) {
 			}
 		}
 
-		got, err := bestWindowConstrained(context.Background(), angular.NewEngine(in), 0, active, placed, knapsack.Options{})
+		eng := angular.NewEngine(in)
+		got, err := bestWindowConstrained(context.Background(), eng, 0, active, placed, knapsack.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: bestWindowConstrained: %v", trial, err)
 		}
 
 		// Brute force, duplicates and all.
-		cands := append([]float64{}, angular.Candidates(in, 0)...)
+		cands := append([]float64{}, eng.Candidates(0)...)
 		for _, iv := range placed {
 			cands = append(cands, iv.End())
 		}

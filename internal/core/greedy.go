@@ -101,7 +101,7 @@ func solveGreedyWithEngine(ctx context.Context, in *model.Instance, opt Options,
 		}
 	}
 	if !opt.SkipBound {
-		sol.UpperBound = UpperBound(in)
+		sol.UpperBound = UpperBoundWarm(eng)
 	}
 	return sol, nil
 }

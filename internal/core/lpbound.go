@@ -46,9 +46,10 @@ func ConfigLPBound(in *model.Instance) (float64, error) {
 	}
 	var triples []triple
 
+	eng := angular.NewEngine(in)
 	nextVar := 0
 	for j := 0; j < m; j++ {
-		for _, alpha := range angular.Candidates(in, j) {
+		for _, alpha := range eng.Candidates(j) {
 			orients = append(orients, orient{j: j, alpha: alpha, xVar: nextVar})
 			nextVar++
 		}
@@ -119,7 +120,7 @@ func ConfigLPBound(in *model.Instance) (float64, error) {
 		return 0, fmt.Errorf("core: ConfigLPBound: LP %v", sol.Status)
 	}
 	// The simple bound still applies; return the tighter of the two.
-	if simple := UpperBound(in); simple < sol.Value {
+	if simple := UpperBoundWarm(eng); simple < sol.Value {
 		return simple, nil
 	}
 	return sol.Value, nil

@@ -44,9 +44,10 @@ func SolveUnitFlow(ctx context.Context, in *model.Instance, opt Options) (model.
 
 	if m == 1 {
 		// Exact: sweep every candidate orientation.
+		eng := angular.NewEngine(in)
 		best := model.NewAssignment(n, m)
 		var bestProfit int64 = -1
-		for _, alpha := range angular.Candidates(in, 0) {
+		for _, alpha := range eng.Candidates(0) {
 			if err := ctx.Err(); err != nil {
 				return model.Solution{}, err
 			}
@@ -65,7 +66,7 @@ func SolveUnitFlow(ctx context.Context, in *model.Instance, opt Options) (model.
 		sol.Assignment = best
 		sol.Profit = bestProfit
 		if !opt.SkipBound {
-			sol.UpperBound = UpperBound(in)
+			sol.UpperBound = UpperBoundWarm(eng)
 		}
 		return sol, nil
 	}

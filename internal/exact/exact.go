@@ -184,10 +184,9 @@ func disjointOK(in *model.Instance, alphas []float64) bool {
 }
 
 // candidateSets builds the per-antenna orientation candidates. Outside the
-// DisjointAngles variant they come from angular.CandidatesAll — one shared
-// columnar view, radial pre-filter, per-antenna fan-out — instead of an
-// O(n log n) scan-and-sort per antenna; ctx is consulted per antenna in
-// either branch so a daemon deadline can interrupt the chain enumeration.
+// DisjointAngles variant they come from angular.CandidatesAll, one
+// prewarmed engine's lists; ctx is consulted per antenna in either branch
+// so a daemon deadline can interrupt the chain enumeration.
 func candidateSets(ctx context.Context, in *model.Instance) ([][]float64, error) {
 	m := in.M()
 	if in.Variant != model.DisjointAngles {

@@ -81,11 +81,12 @@ func runE11(opt Options) (Report, error) {
 		if err != nil {
 			return pair{}, err
 		}
-		win, err := angular.NewEngine(in).BestWindow(context.Background(), 0, nil, knapsack.Options{})
+		eng := angular.NewEngine(in)
+		win, err := eng.BestWindow(context.Background(), 0, nil, knapsack.Options{})
 		if err != nil {
 			return pair{}, err
 		}
-		gridProfit, err := gridBestWindow(in, len(angular.Candidates(in, 0)))
+		gridProfit, err := gridBestWindow(in, len(eng.Candidates(0)))
 		if err != nil {
 			return pair{}, err
 		}

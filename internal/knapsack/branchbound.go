@@ -46,11 +46,12 @@ func BranchBound(items []Item, capacity int64, maxNodes int64) (res Result, ok b
 		if k == n || budgetHit {
 			return
 		}
-		// cheap bound first, then the exact fractional bound
+		// cheap bound first, then the floored Dantzig bound: no subset
+		// of the suffix beats it, so nothing below can raise best
 		if curProfit+suffixProfit[k] <= best {
 			return
 		}
-		if curProfit+int64(fractionalSuffix(sorted[k:], remCap)) < best {
+		if curProfit+FillSorted(sorted[k:], remCap).Floor() <= best {
 			return
 		}
 		if sorted[k].Weight <= remCap {
@@ -69,25 +70,4 @@ func BranchBound(items []Item, capacity int64, maxNodes int64) (res Result, ok b
 		}
 	}
 	return res, !budgetHit, nil
-}
-
-// fractionalSuffix is FractionalBound specialized to an already
-// density-sorted slice, avoiding the re-sort on every node.
-func fractionalSuffix(sorted []Item, capacity int64) float64 {
-	var bound float64
-	remaining := capacity
-	for _, it := range sorted {
-		if it.Weight == 0 {
-			bound += float64(it.Profit)
-			continue
-		}
-		if it.Weight <= remaining {
-			bound += float64(it.Profit)
-			remaining -= it.Weight
-		} else {
-			bound += float64(it.Profit) * float64(remaining) / float64(it.Weight)
-			break
-		}
-	}
-	return bound
 }

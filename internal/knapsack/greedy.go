@@ -36,23 +36,13 @@ func Greedy(items []Item, capacity int64) (Result, error) {
 
 // FractionalBound returns the Dantzig LP relaxation optimum: fill by
 // density and take the breaking item fractionally. It upper-bounds the
-// integral optimum and is the bounding function of BranchBound.
+// integral optimum.
 func FractionalBound(items []Item, capacity int64) float64 {
-	var bound float64
-	remaining := capacity
+	f := NewFill(capacity)
 	for _, i := range byDensity(items) {
-		it := items[i]
-		if it.Weight == 0 {
-			bound += float64(it.Profit)
-			continue
-		}
-		if it.Weight <= remaining {
-			bound += float64(it.Profit)
-			remaining -= it.Weight
-		} else {
-			bound += float64(it.Profit) * float64(remaining) / float64(it.Weight)
+		if f.Add(items[i].Profit, items[i].Weight) {
 			break
 		}
 	}
-	return bound
+	return f.Value()
 }

@@ -176,6 +176,86 @@ func TestFractionalBoundDominatesOPT(t *testing.T) {
 			t.Fatalf("FractionalBound %v < OPT %d", b, want)
 		}
 	}
+	// Zero-weight items, which must all be counted however the fill
+	// splits, and capacity 0.
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(12)
+		items := randomItems(rng, n, 20, 30)
+		for i := range items {
+			if rng.Intn(3) == 0 {
+				items[i].Weight = 0
+			}
+		}
+		capacity := rng.Int63n(80)
+		if trial%3 == 0 {
+			capacity = 0
+		}
+		want := bruteForce(items, capacity)
+		if b := FractionalBound(items, capacity); b < float64(want) {
+			t.Fatalf("trial %d: FractionalBound %v < OPT %d (items %v, capacity %d)", trial, b, want, items, capacity)
+		}
+	}
+}
+
+// TestFill pins the fill's arithmetic: whole items, the floored split share
+// (exact and inexact division, the overflow fallback), zero-weight items
+// taken before a split, and Floor never above Value nor a whole unit below.
+func TestFill(t *testing.T) {
+	cases := []struct {
+		name     string
+		items    []Item // in density order
+		capacity int64
+		floor    int64
+		value    float64
+	}{
+		{"split floors", []Item{{Weight: 4, Profit: 10}}, 3, 7, 7.5},
+		{"exact fit", []Item{{Weight: 4, Profit: 10}}, 4, 10, 10},
+		{"exact division", []Item{{Weight: 1, Profit: 5}, {Weight: 3, Profit: 9}}, 3, 11, 11},
+		{"zero profit split", []Item{{Weight: 4, Profit: 0}}, 3, 0, 0},
+		{"no room", []Item{{Weight: 4, Profit: 10}}, 0, 0, 0},
+		{"zero weights before a split", []Item{{Weight: 0, Profit: 5}, {Weight: 0, Profit: 7}, {Weight: 4, Profit: 10}}, 3, 19, 19.5},
+		{"zero weights at capacity 0", []Item{{Weight: 0, Profit: 5}, {Weight: 0, Profit: 7}, {Weight: 4, Profit: 10}}, 0, 12, 12},
+		{"room used up", []Item{{Weight: 2, Profit: 6}, {Weight: 1, Profit: 2}}, 2, 6, 6},
+		{"overflow falls back to p", []Item{{Weight: 1 << 20, Profit: 1 << 62}}, 1 << 10, 1 << 62, 1 << 52},
+	}
+	for _, c := range cases {
+		f := FillSorted(c.items, c.capacity)
+		if got := f.Floor(); got != c.floor {
+			t.Errorf("%s: Floor = %d, want %d", c.name, got, c.floor)
+		}
+		//sectorlint:ignore floateq every value here is a small dyadic rational, computed exactly
+		if got := f.Value(); got != c.value {
+			t.Errorf("%s: Value = %v, want %v", c.name, got, c.value)
+		}
+	}
+
+	// Add reports full only once no later item can count.
+	f := NewFill(0)
+	if f.Add(5, 0) {
+		t.Error("a zero-weight item at capacity 0 must not fill: more may follow")
+	}
+	if !f.Add(3, 1) {
+		t.Error("a weighted item beyond the room must fill")
+	}
+
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 500; trial++ {
+		items := randomItems(rng, 1+rng.Intn(12), 50, 1000)
+		capacity := rng.Int63n(200)
+		order := byDensity(items)
+		sorted := make([]Item, len(items))
+		for k, i := range order {
+			sorted[k] = items[i]
+		}
+		f := FillSorted(sorted, capacity)
+		fl, v := f.Floor(), f.Value()
+		if float64(fl) > v || v-float64(fl) >= 1 {
+			t.Fatalf("trial %d: Floor %d is not floor(Value %v)", trial, fl, v)
+		}
+		if want := bruteForce(items, capacity); fl < want {
+			t.Fatalf("trial %d: Floor %d < OPT %d", trial, fl, want)
+		}
+	}
 }
 
 func TestSolveDispatcher(t *testing.T) {

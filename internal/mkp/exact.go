@@ -30,10 +30,11 @@ func Exact(p *Problem, maxNodes int64) (res Result, ok bool, err error) {
 	for i := range order {
 		order[i] = i
 	}
-	// Stable, density descending, a zero weight counted as 1.
+	// Stable, density descending, zero weights first: the bound's fill
+	// stops at the split item, so every zero-weight item must precede it.
 	slices.SortStableFunc(order, func(a, b int) int {
 		ia, ib := p.Items[a], p.Items[b]
-		return knapsack.CompareDensity(ia.Profit, max(ia.Weight, 1), ib.Profit, max(ib.Weight, 1))
+		return knapsack.CompareDensity(ia.Profit, ia.Weight, ib.Profit, ib.Weight)
 	})
 	sorted := make([]knapsack.Item, n)
 	for k, i := range order {
@@ -69,7 +70,7 @@ func Exact(p *Problem, maxNodes int64) (res Result, ok bool, err error) {
 		for j := 0; j < m; j++ {
 			pool += p.Capacities[j] - load[j]
 		}
-		if curProfit+int64(knapsack.FractionalBound(sorted[k:], pool)) <= best {
+		if curProfit+knapsack.FillSorted(sorted[k:], pool).Floor() <= best {
 			return
 		}
 		item := sorted[k]

@@ -70,6 +70,16 @@ func TestExactAgainstBruteForce(t *testing.T) {
 		n := 1 + rng.Intn(8)
 		m := 1 + rng.Intn(3)
 		p := randomProblem(rng, n, m, trial%2 == 0)
+		if trial%3 == 0 {
+			// Zero-weight items (and an empty bin): the pooled bound must
+			// count them even when a heavier item splits the fill.
+			for i := range p.Items {
+				if rng.Intn(3) == 0 {
+					p.Items[i].Weight = 0
+				}
+			}
+			p.Capacities[rng.Intn(m)] = 0
+		}
 		want := bruteForce(p)
 		res, ok, err := Exact(p, 50_000_000)
 		if err != nil || !ok {

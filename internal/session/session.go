@@ -309,7 +309,7 @@ func (s *Session) cascade(ctx context.Context, prev []stepRec, ru *reuseInfo) (m
 		s.stats.StepsResolved++
 	}
 	if !s.opt.Core.SkipBound {
-		sol.UpperBound = core.UpperBound(in)
+		sol.UpperBound = core.UpperBoundWarm(s.eng)
 	}
 	s.trace = trace
 	s.traceOK = true

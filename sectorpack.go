@@ -179,7 +179,8 @@ func SolveHedged(ctx context.Context, name string, in *Instance, opt Options) (S
 }
 
 // UpperBound returns a certified upper bound on the optimal profit (the
-// cheap per-antenna Dantzig bound, clipped by the total profit).
+// per-antenna Dantzig bound over the candidate windows, clipped by the
+// total profit).
 func UpperBound(in *Instance) float64 { return core.UpperBound(in) }
 
 // ConfigLPBound returns the tighter orientation-relaxed configuration-LP
