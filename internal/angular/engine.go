@@ -194,7 +194,7 @@ func (e *Engine) Prewarm(ctx context.Context) error {
 	if view.Len()*m < prewarmParallelMin {
 		workers = 1
 	}
-	if sweep.Each(ctx, m, workers, func(_, j int) { e.prewarmAntenna(view, j) }) < m {
+	if sweep.Each(ctx, m, workers, func(j int) { e.prewarmAntenna(view, j) }) < m {
 		return ctx.Err()
 	}
 	return nil
@@ -347,7 +347,7 @@ func (e *Engine) evaluate(ctx context.Context, s *Sweep, capacity int64, active 
 	if nc < parallelThreshold {
 		workers = 1
 	}
-	ran := sweep.Each(ctx, nc, workers, func(_, i int) {
+	ran := sweep.Each(ctx, nc, workers, func(i int) {
 		k := e.order[i]
 		if best.Load().prunes(e.wins[k].bound, k) {
 			return

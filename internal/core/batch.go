@@ -68,7 +68,7 @@ func SolveBatch(ctx context.Context, ins []*model.Instance, solver Solver, opt B
 		return results
 	}
 	name := opt.solverName()
-	ran := sweep.Each(ctx, len(ins), opt.workers(), func(_, i int) {
+	ran := sweep.Each(ctx, len(ins), opt.workers(), func(i int) {
 		start := time.Now()
 		sol, err := solveBatchItem(ctx, ins[i], solver, name, opt)
 		results[i] = BatchResult{Solution: sol, Err: err, Elapsed: time.Since(start)}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sectorpack/internal/angular"
@@ -51,6 +53,21 @@ func SolveGreedyOrdered(ctx context.Context, in *model.Instance, opt Options, or
 	return solveGreedyWithEngine(ctx, in, opt, order, eng)
 }
 
+// CapacityOrder is the successive greedy's antenna order: descending
+// capacity, ties in index order. SolveGreedy and the delta session's
+// cascade both take it from here, so the cascade stays bit-identical to
+// SolveGreedy.
+func CapacityOrder(in *model.Instance) []int {
+	order := make([]int, in.M())
+	for j := range order {
+		order[j] = j
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(in.Antennas[b].Capacity, in.Antennas[a].Capacity)
+	})
+	return order
+}
+
 // solveGreedyWithEngine is the greedy loop over a caller-supplied engine,
 // so SolveLocalSearch can run its greedy seed and its reorientation moves
 // on one shared set of sweeps instead of building them twice. The engine
@@ -62,13 +79,7 @@ func solveGreedyWithEngine(ctx context.Context, in *model.Instance, opt Options,
 	sol := model.Solution{Algorithm: "greedy", Assignment: as}
 
 	if order == nil {
-		order = make([]int, m)
-		for j := range order {
-			order[j] = j
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return in.Antennas[order[a]].Capacity > in.Antennas[order[b]].Capacity
-		})
+		order = CapacityOrder(in)
 	} else if len(order) != m {
 		return model.Solution{}, fmt.Errorf("core: order has %d entries for %d antennas", len(order), m)
 	}

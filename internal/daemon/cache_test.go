@@ -83,6 +83,42 @@ func TestSolveCacheHeaderLifecycle(t *testing.T) {
 	}
 }
 
+// TestHedgedSolveReportsCacheOutcome: with ?degraded=allow a healthy
+// primary still goes through the cache, and both /solve and every
+// /solve/batch item report the primary's cache outcome.
+func TestHedgedSolveReportsCacheOutcome(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{}).Handler())
+	defer ts.Close()
+	post := func() string {
+		resp, err := ts.Client().Post(ts.URL+"/solve?degraded=allow", "application/json",
+			bytes.NewReader(solveBody(t, "greedy", sectorsInstance(), nil)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.Header.Get(cacheHeader)
+	}
+	if got := post(); got != "miss" {
+		t.Fatalf("first hedged solve: header %q, want miss", got)
+	}
+	if got := post(); got != "hit" {
+		t.Fatalf("second hedged solve: header %q, want hit", got)
+	}
+
+	// sectorsInstance is cached now, disjointInstance is not.
+	body := batchBody(t, "greedy", []any{sectorsInstance(), disjointInstance()}, nil)
+	resp, br, raw := postBatch(t, ts.Client(), ts.URL, "?degraded=allow", body)
+	if resp.StatusCode != http.StatusOK || br.OK != 2 {
+		t.Fatalf("hedged batch: status %d ok %d: %s", resp.StatusCode, br.OK, raw)
+	}
+	if br.Items[0].Cache != "hit" || br.Items[1].Cache != "miss" {
+		t.Errorf("hedged batch item caches %q, %q, want hit, miss", br.Items[0].Cache, br.Items[1].Cache)
+	}
+	if got, want := resp.Header.Get(cacheHeader), "hits=1,misses=1,collapsed=0,bypass=0"; got != want {
+		t.Errorf("hedged batch header %q, want %q", got, want)
+	}
+}
+
 func TestSolveCacheDisabled(t *testing.T) {
 	ts := httptest.NewServer(NewServer(Config{CacheBytes: -1}).Handler())
 	defer ts.Close()

@@ -353,3 +353,31 @@ func TestDegradedRequestLogged(t *testing.T) {
 		t.Errorf("degraded log line missing degraded=true:\n%s", buf.String())
 	}
 }
+
+// TestHedgedBatchItemPanicCounted: a batch item whose primary panicked and
+// that the hedge answered is a panic like a hedged /solve's, so it moves
+// sectord.panics as well as sectord.fallbacks.
+func TestHedgedBatchItemPanicCounted(t *testing.T) {
+	registerPanickingSolver("test-fault-panic-batch")
+	defer core.Unregister("test-fault-panic-batch")
+	ts := httptest.NewServer(NewServer(Config{}).Handler())
+	defer ts.Close()
+
+	body := batchBody(t, "test-fault-panic-batch", []any{sectorsInstance()}, nil)
+	resp, br, raw := postBatch(t, ts.Client(), ts.URL, "?degraded=allow", body)
+	if resp.StatusCode != http.StatusOK || br.Degraded != 1 {
+		t.Fatalf("status %d degraded %d, want 200 and 1 degraded item: %s", resp.StatusCode, br.Degraded, raw)
+	}
+	if got := br.Items[0].FallbackReason; got != core.FallbackPanic {
+		t.Fatalf("fallback_reason = %q, want %q", got, core.FallbackPanic)
+	}
+	if got := br.Items[0].Cache; got != cacheBypass {
+		t.Errorf("degraded item cache = %q, want %q", got, cacheBypass)
+	}
+	if got := varsInt(t, ts, "sectord.panics"); got != 1 {
+		t.Errorf("sectord.panics = %d, want 1 (degraded batch panic still counted)", got)
+	}
+	if got := varsInt(t, ts, "sectord.fallbacks"); got != 1 {
+		t.Errorf("sectord.fallbacks = %d, want 1", got)
+	}
+}

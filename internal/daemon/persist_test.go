@@ -514,3 +514,80 @@ func TestDaemonCrashMatrix(t *testing.T) {
 		})
 	}
 }
+
+// TestSessionFailedSolveDeltaJournaled: a delta whose re-solve fails with a
+// plain solver error has still moved the session to its new instance, so
+// it is journaled with its idempotency key. A retry under that key
+// re-solves in place instead of applying the delta a second time, and a
+// restart replays the journal to the instance the live session holds.
+func TestSessionFailedSolveDeltaJournaled(t *testing.T) {
+	dir := t.TempDir()
+	client := &http.Client{}
+	srv := NewServer(durableConfig(dir))
+	if err := srv.Restore(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	base := sectorsInstance()
+	base.Customers = append(base.Customers, model.Customer{Theta: 2.0, R: 1, Demand: 1})
+	base.Normalize()
+	resp, raw := doJSON(t, client, http.MethodPost, ts.URL+"/session", sessionCreateBody(t, "unitflow", base, 1))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("create: %d %s", resp.StatusCode, raw)
+	}
+	id := decodeSessResp(t, raw).SessionID
+	deltaURL := ts.URL + "/session/" + id + "/delta"
+
+	// unitflow refuses a demand-2 customer: the delta is applied, its
+	// solve fails with a plain error. The retry must not apply it again.
+	add := model.Delta{Add: []model.Customer{{Theta: 4.0, R: 1, Demand: 2, Profit: 2}}}
+	for try := 0; try < 2; try++ {
+		resp, raw = doJSON(t, client, http.MethodPost, deltaURL, deltaBodyWithKey(t, add, "k"))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("add try %d: %d %s, want 400", try, resp.StatusCode, raw)
+		}
+	}
+	// Removing the added customer (id 6) brings the session back to the
+	// base instance only if the add was applied exactly once.
+	remove := model.Delta{Remove: []int{len(base.Customers)}}
+	resp, raw = doJSON(t, client, http.MethodPost, deltaURL, deltaBodyWithKey(t, remove, "k2"))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("remove: %d %s, want 200 (the add was applied more than once)", resp.StatusCode, raw)
+	}
+	live := decodeSessResp(t, raw)
+	solver, err := core.Get("unitflow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := solver(context.Background(), base, core.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, w := solKey(live.Profit, live.Orientation, live.Owner), solKey(want.Profit, want.Assignment.Orientation, want.Assignment.Owner); got != w {
+		t.Fatalf("live answer after remove:\n got  %s\n want %s", got, w)
+	}
+	ts.Close()
+	srv.FlushState()
+
+	// Life 2: the journal holds the add and the remove, so replay lands on
+	// the same instance and the k2 retry is answered from it.
+	srv2 := NewServer(durableConfig(dir))
+	if err := srv2.Restore(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv2.sessRecovered.Value(); got != 1 {
+		t.Fatalf("sessions recovered = %d, want 1 (recover_failed %d)", got, srv2.sessRecoverFailed.Value())
+	}
+	ts2 := httptest.NewServer(srv2.Handler())
+	defer ts2.Close()
+	resp, raw = doJSON(t, client, http.MethodPost, ts2.URL+"/session/"+id+"/delta", deltaBodyWithKey(t, remove, "k2"))
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(idempotentHeader) != "replay" {
+		t.Fatalf("k2 retry after restart: %d (idempotent %q) %s", resp.StatusCode, resp.Header.Get(idempotentHeader), raw)
+	}
+	restored := decodeSessResp(t, raw)
+	if got, w := solKey(restored.Profit, restored.Orientation, restored.Owner), solKey(live.Profit, live.Orientation, live.Owner); got != w {
+		t.Fatalf("restored answer differs from the live one:\n got  %s\n want %s", got, w)
+	}
+}

@@ -36,7 +36,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"expvar"
 	"fmt"
 	"io"
@@ -54,7 +53,6 @@ import (
 
 	"sectorpack/internal/cache"
 	"sectorpack/internal/core"
-	"sectorpack/internal/exact"
 	"sectorpack/internal/faultfs"
 	"sectorpack/internal/model"
 )
@@ -114,9 +112,9 @@ type Config struct {
 	// attribute answers and cache hit ratios to the backend that served
 	// them. Empty omits the header.
 	ShardName string
-	// Logger receives one structured record per /solve request (request
-	// ID, solver, duration, outcome, degraded flag) plus panic reports.
-	// Nil discards logs.
+	// Logger receives one structured record per request (request ID,
+	// solver, duration, outcome, degraded flag) plus panic reports. Nil
+	// discards logs.
 	Logger *slog.Logger
 }
 
@@ -316,10 +314,10 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 // solveRequest is the /solve body: the model.WriteJSON envelope plus
 // request-level knobs.
 type solveRequest struct {
+	envelope
 	Solver        string          `json:"solver"`
 	Seed          *int64          `json:"seed,omitempty"`
 	TimeoutMillis int64           `json:"timeout_ms,omitempty"`
-	FormatVersion int             `json:"format_version"`
 	Instance      *model.Instance `json:"instance"`
 }
 
@@ -346,10 +344,10 @@ type solveResponse struct {
 // plus the model.WriteBatchJSON instance envelope. TimeoutMillis is a
 // per-item deadline, not a whole-batch one.
 type batchRequest struct {
+	envelope
 	Solver        string            `json:"solver"`
 	Seed          *int64            `json:"seed,omitempty"`
 	TimeoutMillis int64             `json:"timeout_ms,omitempty"`
-	FormatVersion int               `json:"format_version"`
 	Instances     []*model.Instance `json:"instances"`
 }
 
@@ -386,197 +384,40 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	enc.Encode(body)
 }
 
-func (s *Server) nextRequestID() string {
-	return fmt.Sprintf("%s-%06d", s.ridPrefix, s.reqSeq.Add(1))
-}
-
-// solveOutcome is what one /solve request resolved to, for the structured
-// log line and the per-request counters.
-type solveOutcome struct {
-	solver   string
-	status   int
-	outcome  string // ok, degraded, shed, bad_request, cancelled, panic, invalid, error
-	degraded bool
-	detail   string
-	profit   int64
-}
-
-func (s *Server) logSolve(rid string, start time.Time, o *solveOutcome) {
-	attrs := []slog.Attr{
-		slog.String("request_id", rid),
-		slog.String("solver", o.solver),
-		slog.Float64("duration_ms", float64(time.Since(start))/float64(time.Millisecond)),
-		slog.String("outcome", o.outcome),
-		slog.Bool("degraded", o.degraded),
-		slog.Int("status", o.status),
-	}
-	if o.outcome == "ok" || o.outcome == "degraded" {
-		attrs = append(attrs, slog.Int64("profit", o.profit))
-	}
-	if o.detail != "" {
-		attrs = append(attrs, slog.String("detail", o.detail))
-	}
-	level := slog.LevelInfo
-	if o.status >= 500 && o.outcome != "degraded" && o.outcome != "cancelled" {
-		level = slog.LevelWarn
-	}
-	s.logger.LogAttrs(context.Background(), level, "solve", attrs...)
-}
-
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	rid := s.nextRequestID()
-	start := time.Now()
-	o := &solveOutcome{outcome: "error", status: http.StatusInternalServerError}
-	defer func() { s.logSolve(rid, start, o) }()
-
-	fail := func(status int, outcome, msg string) {
-		o.status, o.outcome, o.detail = status, outcome, msg
-		writeJSON(w, status, errorResponse{Error: msg})
-	}
-
-	if r.Method != http.MethodPost {
-		s.failures.Add(1)
-		w.Header().Set("Allow", http.MethodPost)
-		fail(http.StatusMethodNotAllowed, "bad_request", "POST required")
-		return
-	}
-	// Shed before reading the body: a saturated server should refuse work
-	// as cheaply as possible.
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	default:
-		s.shed.Add(1)
-		s.setRetryAfter(w)
-		fail(http.StatusTooManyRequests, "shed", "server at capacity")
-		return
-	}
-
-	degradedAllowed, err := parseDegradedParam(r)
-	if err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	bypass, err := parseCacheParam(r)
-	if err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-
+	q := s.begin(w, "")
+	defer s.logRequest(q)
+	degraded, bypass, qerr := parseSolveParams(r)
 	var req solveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", "decode request: "+err.Error())
+	if !s.admit(q, r, qerr, &req) {
 		return
 	}
-	if req.FormatVersion != 1 {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", fmt.Sprintf("unsupported format_version %d (want 1)", req.FormatVersion))
-		return
-	}
+	defer s.release()
 	if req.Instance == nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", "request missing instance")
+		s.reject(q, http.StatusBadRequest, "request missing instance")
 		return
 	}
 	req.Instance.Normalize()
 	if err := req.Instance.Validate(); err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", "invalid instance: "+err.Error())
+		s.reject(q, http.StatusBadRequest, "invalid instance: "+err.Error())
 		return
 	}
-	name, solver, err := s.resolveSolver(req.Solver)
-	o.solver = name
+	name, solver, ok := s.resolve(q, req.Solver)
+	if !ok {
+		return
+	}
+	ctx, cancel := s.solveContext(r.Context(), req.TimeoutMillis)
+	defer cancel()
+	p := solvePlan{name: name, solver: solver, opt: s.solveOptions(req.Seed), bypass: bypass, degraded: degraded}
+	sol, cacheOutcome, err := s.solveItem(ctx, req.Instance, p)
+	elapsed := time.Since(q.start)
 	if err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", err.Error())
+		q.fail(s.solveError(q.rid, err))
 		return
 	}
-
-	ctx := r.Context()
-	if timeout := s.solveTimeout(req.TimeoutMillis); timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	opt := s.solveOptions(req.Seed)
-	var sol model.Solution
-	var cacheOutcome string
-	if degradedAllowed {
-		// The hedged pipeline races the cache-fronted requested solver
-		// against the greedy safety net; both legs are panic-isolated and
-		// gated, so the answer (primary or fallback) is always feasible.
-		// The fallback leg never touches the cache, so a degraded answer
-		// is always reported as a bypass.
-		var pmu sync.Mutex
-		pout := cacheBypass
-		primary := func(ctx context.Context, in *model.Instance, o core.Options) (model.Solution, error) {
-			psol, out, perr := s.solveThroughCache(ctx, name, solver, in, o, bypass)
-			pmu.Lock()
-			pout = out
-			pmu.Unlock()
-			return psol, perr
-		}
-		sol, err = core.SolveHedged(ctx, req.Instance, primary, core.HedgeOptions{
-			Options:     opt,
-			PrimaryName: name,
-		})
-		cacheOutcome = cacheBypass
-		if err == nil && !sol.Degraded {
-			pmu.Lock()
-			cacheOutcome = pout
-			pmu.Unlock()
-		}
-	} else {
-		sol, cacheOutcome, err = s.solveThroughCache(ctx, name, solver, req.Instance, opt, bypass)
-	}
-	elapsed := time.Since(start)
-	if err != nil {
-		var pe *core.PanicError
-		var ie *core.InvalidSolutionError
-		switch {
-		case errors.As(err, &pe):
-			s.panics.Add(1)
-			s.logger.Error("solver panic",
-				slog.String("request_id", rid),
-				slog.String("solver", pe.Solver),
-				slog.String("panic", fmt.Sprint(pe.Value)),
-				slog.String("stack", string(pe.Stack)))
-			fail(http.StatusInternalServerError, "panic", "solve failed: "+pe.Error())
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			s.cancellations.Add(1)
-			fail(http.StatusServiceUnavailable, "cancelled", "solve aborted: "+err.Error())
-		case errors.As(err, &ie):
-			s.invalid.Add(1)
-			fail(http.StatusInternalServerError, "invalid", "solve failed: "+ie.Error())
-		default:
-			s.failures.Add(1)
-			fail(http.StatusBadRequest, "error", "solve failed: "+err.Error())
-		}
-		return
-	}
-	if sol.Degraded {
-		s.fallbacks.Add(1)
-		if sol.FallbackReason == core.FallbackPanic {
-			s.panics.Add(1)
-		}
-		if sol.HedgeWin {
-			s.hedgeWins.Add(1)
-		}
-	}
-	s.solved.Add(1)
-	s.observeLatency(name, elapsed)
-	o.status, o.profit = http.StatusOK, sol.Profit
-	o.outcome, o.degraded, o.detail = "ok", sol.Degraded, sol.FallbackDetail
-	if sol.Degraded {
-		o.outcome = "degraded"
-	}
+	s.served(name, sol, elapsed)
+	q.ok(sol)
 	w.Header().Set(cacheHeader, cacheOutcome)
 	writeJSON(w, http.StatusOK, newSolveResponse(name, sol, elapsed))
 }
@@ -606,64 +447,6 @@ func newSolveResponse(name string, sol model.Solution, elapsed time.Duration) *s
 		FallbackDetail: sol.FallbackDetail,
 		HedgeWin:       sol.HedgeWin,
 	}
-}
-
-func parseDegradedParam(r *http.Request) (bool, error) {
-	switch v := r.URL.Query().Get("degraded"); v {
-	case "", "deny":
-		return false, nil
-	case "allow":
-		return true, nil
-	default:
-		return false, fmt.Errorf("invalid degraded=%q (want allow or deny)", v)
-	}
-}
-
-func parseCacheParam(r *http.Request) (bool, error) {
-	switch v := r.URL.Query().Get("cache"); v {
-	case "", "use":
-		return false, nil
-	case "bypass":
-		return true, nil
-	default:
-		return false, fmt.Errorf("invalid cache=%q (want use or bypass)", v)
-	}
-}
-
-// resolveSolver applies the empty-name default and the allowlist, then
-// resolves through the registry (whose solvers are panic-isolated).
-func (s *Server) resolveSolver(name string) (string, core.Solver, error) {
-	if name == "" {
-		name = "auto"
-	}
-	if s.allowed != nil && !s.allowed[name] {
-		return name, nil, fmt.Errorf("solver %q not allowed (allowed: %v)", name, s.cfg.Allowed)
-	}
-	solver, err := core.Get(name)
-	if err != nil {
-		return name, nil, err
-	}
-	return name, solver, nil
-}
-
-// solveTimeout combines the server deadline with a request's timeout_ms:
-// the request may tighten the server deadline, never loosen it.
-func (s *Server) solveTimeout(requestMillis int64) time.Duration {
-	timeout := s.cfg.Timeout
-	if requestMillis > 0 {
-		if t := time.Duration(requestMillis) * time.Millisecond; timeout <= 0 || t < timeout {
-			timeout = t
-		}
-	}
-	return timeout
-}
-
-func (s *Server) solveOptions(seed *int64) core.Options {
-	opt := core.Options{Seed: s.cfg.Seed, ExactLimits: exact.Limits{MaxTuples: s.cfg.MaxTuples}}
-	if seed != nil {
-		opt.Seed = *seed
-	}
-	return opt
 }
 
 // solveFresh is one uncached solve behind the post-solve feasibility gate:
@@ -723,91 +506,46 @@ func (s *Server) solveThroughCache(ctx context.Context, name string, solver core
 	return sol, outcome.String(), nil
 }
 
-// handleSolveBatch solves a whole envelope of instances through the cache
-// on a bounded worker pool (core.SolveBatch). The batch is fail-soft:
-// per-item failures (invalid instance, solver error, deadline) land in
-// that item's slot while the rest proceed, and the response is 200 once
-// the envelope decodes. The whole batch occupies one inflight-semaphore
-// slot; its workers are bounded by the MaxInflight config so one batch
-// cannot exceed the server's configured solve concurrency.
+// handleSolveBatch solves a whole envelope of instances, each through
+// solveItem, on core.SolveBatch's bounded worker pool. The batch is
+// fail-soft: per-item failures (invalid instance, solver error, deadline)
+// land in that item's slot while the rest proceed, and the response is 200
+// once the envelope decodes. The whole batch occupies one
+// inflight-semaphore slot; its workers are bounded by the MaxInflight
+// config so one batch cannot exceed the server's configured solve
+// concurrency.
 func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	s.batches.Add(1)
-	rid := s.nextRequestID()
-	start := time.Now()
-	o := &solveOutcome{outcome: "error", status: http.StatusInternalServerError}
-	defer func() { s.logSolve(rid, start, o) }()
-
-	fail := func(status int, outcome, msg string) {
-		o.status, o.outcome, o.detail = status, outcome, msg
-		writeJSON(w, status, errorResponse{Error: msg})
-	}
-
-	if r.Method != http.MethodPost {
-		s.failures.Add(1)
-		w.Header().Set("Allow", http.MethodPost)
-		fail(http.StatusMethodNotAllowed, "bad_request", "POST required")
-		return
-	}
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	default:
-		s.shed.Add(1)
-		s.setRetryAfter(w)
-		fail(http.StatusTooManyRequests, "shed", "server at capacity")
-		return
-	}
-
-	degradedAllowed, err := parseDegradedParam(r)
-	if err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	bypass, err := parseCacheParam(r)
-	if err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-
+	q := s.begin(w, "")
+	defer s.logRequest(q)
+	degraded, bypass, qerr := parseSolveParams(r)
 	var req batchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", "decode request: "+err.Error())
+	if !s.admit(q, r, qerr, &req) {
 		return
 	}
-	if req.FormatVersion != 1 {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", fmt.Sprintf("unsupported format_version %d (want 1)", req.FormatVersion))
-		return
-	}
+	defer s.release()
 	if len(req.Instances) == 0 {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", "batch has no instances")
+		s.reject(q, http.StatusBadRequest, "batch has no instances")
 		return
 	}
 	if len(req.Instances) > maxBatchItems {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", fmt.Sprintf("batch has %d instances (max %d)", len(req.Instances), maxBatchItems))
+		s.reject(q, http.StatusBadRequest, fmt.Sprintf("batch has %d instances (max %d)", len(req.Instances), maxBatchItems))
 		return
 	}
 	s.batchItems.Add(int64(len(req.Instances)))
-	name, solver, err := s.resolveSolver(req.Solver)
-	o.solver = name
-	if err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", err.Error())
+	name, solver, ok := s.resolve(q, req.Solver)
+	if !ok {
 		return
 	}
 
 	// Per-item validation is fail-soft: an invalid instance errors in its
 	// own slot (the instance is nilled out so the pool skips it) instead
-	// of rejecting the batch.
+	// of rejecting the batch. slot maps each remaining instance (a
+	// distinct pointer per item, even for identical payloads) to its
+	// index, so a worker can file the item's cache outcome.
 	itemErr := make([]string, len(req.Instances))
+	slot := make(map[*model.Instance]int, len(req.Instances))
 	for i, in := range req.Instances {
 		if in == nil {
 			itemErr[i] = "missing instance"
@@ -817,88 +555,52 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		if err := in.Validate(); err != nil {
 			itemErr[i] = "invalid instance: " + err.Error()
 			req.Instances[i] = nil
+			continue
 		}
+		slot[in] = i
 	}
-
-	opt := s.solveOptions(req.Seed)
-	// outcomes records each item's cache provenance, keyed by its decoded
-	// *Instance (unique per item even for identical payloads). Workers
-	// store concurrently; reads happen after SolveBatch returns.
-	var outcomes sync.Map
-	cached := func(ctx context.Context, in *model.Instance, o core.Options) (model.Solution, error) {
-		sol, out, err := s.solveThroughCache(ctx, name, solver, in, o, bypass)
-		outcomes.Store(in, out)
+	p := solvePlan{name: name, solver: solver, opt: s.solveOptions(req.Seed), bypass: bypass, degraded: degraded}
+	cacheOutcome := make([]string, len(req.Instances))
+	item := func(ctx context.Context, in *model.Instance, _ core.Options) (model.Solution, error) {
+		sol, out, err := s.solveItem(ctx, in, p)
+		cacheOutcome[slot[in]] = out
 		return sol, err
 	}
-	results := core.SolveBatch(r.Context(), req.Instances, cached, core.BatchOptions{
-		Options:     opt,
+	results := core.SolveBatch(r.Context(), req.Instances, item, core.BatchOptions{
+		Options:     p.opt,
 		SolverName:  name,
 		Workers:     s.cfg.MaxInflight,
 		ItemTimeout: s.solveTimeout(req.TimeoutMillis),
-		Hedged:      degradedAllowed,
 	})
 
 	resp := batchResponse{Solver: name, Count: len(req.Instances), Items: make([]batchItemResponse, len(req.Instances))}
-	for i := range results {
+	for i, res := range results {
 		item := batchItemResponse{Index: i}
 		switch {
 		case itemErr[i] != "":
 			s.failures.Add(1)
 			item.Error = itemErr[i]
 			resp.Failed++
-		case results[i].Err != nil:
-			s.countSolveError(rid, name, results[i].Err)
-			item.Error = results[i].Err.Error()
+		case res.Err != nil:
+			s.solveError(q.rid, res.Err)
+			item.Error = res.Err.Error()
 			resp.Failed++
 		default:
-			sol := results[i].Solution
-			item.solveResponse = newSolveResponse(name, sol, results[i].Elapsed)
-			item.Cache = cacheBypass
-			if !sol.Degraded {
-				if out, ok := outcomes.Load(req.Instances[i]); ok {
-					item.Cache = out.(string)
-				}
-			}
-			s.solved.Add(1)
-			s.observeLatency(name, results[i].Elapsed)
+			s.served(name, res.Solution, res.Elapsed)
+			item.solveResponse = newSolveResponse(name, res.Solution, res.Elapsed)
+			item.Cache = cacheOutcome[i]
 			resp.OK++
-			if sol.Degraded {
-				s.fallbacks.Add(1)
-				if sol.HedgeWin {
-					s.hedgeWins.Add(1)
-				}
+			if res.Solution.Degraded {
 				resp.Degraded++
 			}
 		}
 		resp.Items[i] = item
 	}
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	o.status, o.outcome = http.StatusOK, "batch"
-	o.detail = fmt.Sprintf("count=%d ok=%d failed=%d degraded=%d", resp.Count, resp.OK, resp.Failed, resp.Degraded)
+	resp.ElapsedMS = float64(time.Since(q.start)) / float64(time.Millisecond)
+	q.status, q.outcome = http.StatusOK, "batch"
+	q.detail = fmt.Sprintf("count=%d ok=%d failed=%d degraded=%d", resp.Count, resp.OK, resp.Failed, resp.Degraded)
 	w.Header().Set(cacheHeader, s.batchCacheSummary(resp.Items))
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// countSolveError bumps the counter matching a per-item solve error and
-// logs panics with their captured stacks.
-func (s *Server) countSolveError(rid, name string, err error) {
-	var pe *core.PanicError
-	var ie *core.InvalidSolutionError
-	switch {
-	case errors.As(err, &pe):
-		s.panics.Add(1)
-		s.logger.Error("solver panic",
-			slog.String("request_id", rid),
-			slog.String("solver", pe.Solver),
-			slog.String("panic", fmt.Sprint(pe.Value)),
-			slog.String("stack", string(pe.Stack)))
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.cancellations.Add(1)
-	case errors.As(err, &ie):
-		s.invalid.Add(1)
-	default:
-		s.failures.Add(1)
-	}
 }
 
 // batchCacheSummary renders the per-item cache outcomes as a compact

@@ -16,8 +16,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"expvar"
 	"fmt"
 	"log/slog"
@@ -197,10 +195,10 @@ func addStats(a, b session.Stats) session.Stats {
 // sessionCreateRequest is the POST /session body: the /solve envelope,
 // minus the per-request cache knobs that do not apply to sessions.
 type sessionCreateRequest struct {
+	envelope
 	Solver        string          `json:"solver"`
 	Seed          *int64          `json:"seed,omitempty"`
 	TimeoutMillis int64           `json:"timeout_ms,omitempty"`
-	FormatVersion int             `json:"format_version"`
 	Instance      *model.Instance `json:"instance"`
 }
 
@@ -216,8 +214,8 @@ type sessionCreateRequest struct {
 // restores the last journaled key — should send a fresh unique key per
 // logical delta.
 type sessionDeltaRequest struct {
+	envelope
 	TimeoutMillis  int64       `json:"timeout_ms,omitempty"`
-	FormatVersion  int         `json:"format_version"`
 	IdempotencyKey string      `json:"idempotency_key,omitempty"`
 	Delta          model.Delta `json:"delta"`
 }
@@ -307,128 +305,55 @@ func (s *Server) nextSessionID() string {
 	return fmt.Sprintf("s-%s-%06d", s.ridPrefix, s.sessSeq.Add(1))
 }
 
-// logSession is the session routes' structured log line.
-func (s *Server) logSession(action, id string, start time.Time, status int, detail string) {
-	level := slog.LevelInfo
-	if status >= 500 {
-		level = slog.LevelWarn
-	}
-	attrs := []slog.Attr{
-		slog.String("session_id", id),
-		slog.String("action", action),
-		slog.Int("status", status),
-		slog.Float64("duration_ms", float64(time.Since(start))/float64(time.Millisecond)),
-	}
-	if detail != "" {
-		attrs = append(attrs, slog.String("detail", detail))
-	}
-	s.logger.LogAttrs(context.Background(), level, "session", attrs...)
-}
-
-// sessionSolveStatus maps a session solve error onto the same status/outcome
-// taxonomy as /solve and bumps the matching counter.
-func (s *Server) sessionSolveStatus(rid string, err error) (int, string) {
-	var pe *core.PanicError
-	var ie *core.InvalidSolutionError
-	switch {
-	case errors.As(err, &pe):
-		s.panics.Add(1)
-		s.logger.Error("solver panic",
-			slog.String("request_id", rid),
-			slog.String("solver", pe.Solver),
-			slog.String("panic", fmt.Sprint(pe.Value)),
-			slog.String("stack", string(pe.Stack)))
-		return http.StatusInternalServerError, "solve failed: " + pe.Error()
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.cancellations.Add(1)
-		return http.StatusServiceUnavailable, "solve aborted: " + err.Error()
-	case errors.As(err, &ie):
-		s.invalid.Add(1)
-		return http.StatusInternalServerError, "solve failed: " + ie.Error()
-	default:
-		s.failures.Add(1)
-		return http.StatusBadRequest, "solve failed: " + err.Error()
-	}
+// tableFull sheds a create because the session table is at its cap.
+// Unlike the inflight-semaphore sheds (setRetryAfter), a full table frees
+// on DELETE or TTL eviction, which solve latency says nothing about; a
+// fixed short hint is the honest one.
+func (s *Server) tableFull(q *request) {
+	s.shed.Add(1)
+	q.w.Header().Set("Retry-After", "1")
+	q.fail(http.StatusTooManyRequests, "shed", fmt.Sprintf("session table full (%d live)", s.sessionMax()))
 }
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	// Session answers never come from the solve cache; say so on every
 	// response, including errors.
 	w.Header().Set(cacheHeader, cacheOff)
-	rid := s.nextRequestID()
+	q := s.begin(w, "create")
+	defer s.logRequest(q)
 	s.sweepSessions()
-
-	fail := func(status int, msg string) {
-		s.logSession("create", "", start, status, msg)
-		writeJSON(w, status, errorResponse{Error: msg})
-	}
-
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	default:
-		s.shed.Add(1)
-		s.setRetryAfter(w)
-		fail(http.StatusTooManyRequests, "server at capacity")
-		return
-	}
-
 	var req sessionCreateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "decode request: "+err.Error())
+	if !s.admit(q, r, nil, &req) {
 		return
 	}
-	if req.FormatVersion != 1 {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, fmt.Sprintf("unsupported format_version %d (want 1)", req.FormatVersion))
-		return
-	}
+	defer s.release()
 	if req.Instance == nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "request missing instance")
+		s.reject(q, http.StatusBadRequest, "request missing instance")
 		return
 	}
-	name, _, err := s.resolveSolver(req.Solver)
-	if err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, err.Error())
+	name, _, ok := s.resolve(q, req.Solver)
+	if !ok {
 		return
 	}
 	if s.sessions.active() >= s.sessionMax() {
-		s.shed.Add(1)
-		// Unlike the inflight-semaphore sheds (setRetryAfter), a full
-		// session table frees on DELETE or TTL eviction, which solve
-		// latency says nothing about; a fixed short hint is the honest one.
-		w.Header().Set("Retry-After", "1")
-		fail(http.StatusTooManyRequests, fmt.Sprintf("session table full (%d live)", s.sessionMax()))
+		s.tableFull(q)
 		return
 	}
 
-	ctx := r.Context()
-	if timeout := s.solveTimeout(req.TimeoutMillis); timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	ctx, cancel := s.solveContext(r.Context(), req.TimeoutMillis)
+	defer cancel()
 	sopt := session.Options{
 		Solver: name,
 		Core:   s.solveOptions(req.Seed),
 	}
 	sess, err := session.New(ctx, req.Instance, sopt)
-	if err != nil {
-		status, msg := s.sessionSolveStatus(rid, err)
-		fail(status, msg)
-		return
+	if err == nil {
+		// The same post-solve gate as /solve: an infeasible answer is a
+		// server bug, never a served solution.
+		err = core.VerifySolution(name, sess.Instance(), sess.Solution())
 	}
-	// The same post-solve gate as /solve: an infeasible answer is a server
-	// bug, never a served solution.
-	if err := core.VerifySolution(name, sess.Instance(), sess.Solution()); err != nil {
-		s.invalid.Add(1)
-		fail(http.StatusInternalServerError, "solve failed: "+err.Error())
+	if err != nil {
+		q.fail(s.solveError(q.rid, err))
 		return
 	}
 
@@ -442,7 +367,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		j, jerr := session.CreateJournal(s.fsys, s.journalPath(id), sopt, req.Instance, s.journalSyncEvery())
 		if jerr != nil {
 			s.journalFailures.Add(1)
-			fail(http.StatusInternalServerError, "session journal create failed: "+jerr.Error())
+			q.fail(http.StatusInternalServerError, "error", "session journal create failed: "+jerr.Error())
 			return
 		}
 		e.journal = j
@@ -461,16 +386,14 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 				s.journalRemoveFailed(id, rerr)
 			}
 		}
-		s.shed.Add(1)
-		w.Header().Set("Retry-After", "1")
-		fail(http.StatusTooManyRequests, fmt.Sprintf("session table full (%d live)", s.sessionMax()))
+		s.tableFull(q)
 		return
 	}
 	s.sessCreated.Add(1)
-	elapsed := time.Since(start)
-	s.solved.Add(1)
-	s.observeLatency(name, elapsed)
-	s.logSession("create", id, start, http.StatusOK, "solver="+name)
+	q.session = id
+	elapsed := time.Since(q.start)
+	s.served(name, sol, elapsed)
+	q.ok(sol)
 	writeJSON(w, http.StatusOK, sessionResponse{
 		SessionID:     id,
 		Stats:         newSessionStats(stats),
@@ -478,154 +401,107 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// apply runs one delta on the session and re-gates the answer. advanced
+// reports whether the session moved to a new instance: Apply installs it
+// before solving, so a failed solve advances the session too, and only a
+// rejected delta leaves it where it was.
+//
+//sectorlint:locked sessionEntry.mu
+func (e *sessionEntry) apply(ctx context.Context, d model.Delta) (sol model.Solution, advanced bool, err error) {
+	before := e.sess.Instance()
+	sol, err = e.sess.Apply(ctx, d)
+	if err == nil {
+		err = core.VerifySolution(e.solver, e.sess.Instance(), sol)
+	}
+	return sol, e.sess.Instance() != before, err
+}
+
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	w.Header().Set(cacheHeader, cacheOff)
-	rid := s.nextRequestID()
-	id := r.PathValue("id")
+	q := s.begin(w, "delta")
+	q.session = r.PathValue("id")
+	defer s.logRequest(q)
 	s.sweepSessions()
-
-	fail := func(status int, msg string) {
-		s.logSession("delta", id, start, status, msg)
-		writeJSON(w, status, errorResponse{Error: msg})
-	}
-
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	default:
-		s.shed.Add(1)
-		s.setRetryAfter(w)
-		fail(http.StatusTooManyRequests, "server at capacity")
-		return
-	}
-
 	var req sessionDeltaRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "decode request: "+err.Error())
+	if !s.admit(q, r, nil, &req) {
 		return
 	}
-	if req.FormatVersion != 1 {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, fmt.Sprintf("unsupported format_version %d (want 1)", req.FormatVersion))
-		return
-	}
+	defer s.release()
+	id := q.session
 	e, ok := s.sessions.get(id)
 	if !ok {
-		s.failures.Add(1)
-		fail(http.StatusNotFound, fmt.Sprintf("no session %q (expired or never created)", id))
+		s.reject(q, http.StatusNotFound, fmt.Sprintf("no session %q (expired or never created)", id))
 		return
 	}
-
-	ctx := r.Context()
-	if timeout := s.solveTimeout(req.TimeoutMillis); timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	q.solver = e.solver
+	ctx, cancel := s.solveContext(r.Context(), req.TimeoutMillis)
+	defer cancel()
 
 	// Serialize against other deltas to the same session; concurrent deltas
 	// to different sessions only contend for inflight-semaphore slots.
 	e.mu.Lock()
 	e.touch()
-
-	// Idempotent replay: this exact delta was the last one applied, so the
-	// session's current state already reflects it. Answer from that state
-	// instead of applying it twice. If its solve never committed (lastOK is
-	// false — the delta advanced the instance but the re-solve failed), an
-	// empty-delta Apply re-solves the current instance in place; the empty
-	// delta is not journaled because journal replay re-solves anyway.
-	if req.IdempotencyKey != "" && req.IdempotencyKey == e.lastIdemKey {
+	var sol model.Solution
+	var err error
+	replay := req.IdempotencyKey != "" && req.IdempotencyKey == e.lastIdemKey
+	if replay {
+		// Idempotent replay: this exact delta was the last one applied, so
+		// the session's current state already reflects it. Answer from that
+		// state instead of applying it twice. If its solve never committed
+		// (lastOK is false — the delta advanced the instance but the
+		// re-solve failed), an empty-delta Apply re-solves the current
+		// instance in place; the empty delta is not journaled because
+		// journal replay re-solves anyway.
 		s.idemReplays.Add(1)
-		var sol model.Solution
-		var err error
-		if e.lastOK {
-			sol = e.sess.Solution()
-		} else {
-			sol, err = e.sess.Apply(ctx, model.Delta{})
-			if err == nil {
-				if verr := core.VerifySolution(e.solver, e.sess.Instance(), sol); verr != nil {
-					err = verr
-				}
-			}
+		sol = e.sess.Solution()
+		if !e.lastOK {
+			sol, _, err = e.apply(ctx, model.Delta{})
 			e.lastOK = err == nil
 		}
-		stats := e.snapshotStats()
-		e.touch()
-		e.mu.Unlock()
-		if err != nil {
-			status, msg := s.sessionSolveStatus(rid, err)
-			fail(status, msg)
-			return
-		}
-		elapsed := time.Since(start)
-		w.Header().Set(idempotentHeader, "replay")
-		s.logSession("delta", id, start, http.StatusOK, "idempotent replay")
-		writeJSON(w, http.StatusOK, sessionResponse{
-			SessionID:     id,
-			Stats:         newSessionStats(stats),
-			solveResponse: *newSolveResponse(e.solver, sol, elapsed),
-		})
-		return
-	}
-
-	sol, err := e.sess.Apply(ctx, req.Delta)
-	var verr error
-	if err == nil {
-		verr = core.VerifySolution(e.solver, e.sess.Instance(), sol)
-	}
-	var status int
-	var msg string
-	if err != nil {
-		status, msg = s.sessionSolveStatus(rid, err)
-	}
-	// Session.Apply installs the new instance before solving, so the state
-	// advanced unless the delta itself was rejected (the 400 path). Every
-	// state advance must reach the journal — including failed solves —
-	// or replay would diverge from the live session.
-	advanced := err == nil || status != http.StatusBadRequest
-	if advanced && e.journal != nil {
-		if jerr := e.journal.AppendDelta(req.Delta, req.IdempotencyKey); jerr != nil {
-			// The journal no longer matches the live session and can't be
-			// made to. Drop the session entirely: a clean 404-and-recreate
-			// for the client beats silently serving state that a restart
-			// would roll back.
-			s.journalFailures.Add(1)
-			if rerr := e.journal.Remove(); rerr != nil {
-				s.journalRemoveFailed(id, rerr)
+	} else {
+		var advanced bool
+		sol, advanced, err = e.apply(ctx, req.Delta)
+		// Every state advance must reach the journal — including failed
+		// solves — or replay would diverge from the live session.
+		if advanced && e.journal != nil {
+			if jerr := e.journal.AppendDelta(req.Delta, req.IdempotencyKey); jerr != nil {
+				// The journal no longer matches the live session and can't
+				// be made to. Drop the session entirely: a clean
+				// 404-and-recreate for the client beats silently serving
+				// state that a restart would roll back.
+				s.journalFailures.Add(1)
+				if rerr := e.journal.Remove(); rerr != nil {
+					s.journalRemoveFailed(id, rerr)
+				}
+				e.mu.Unlock()
+				s.sessions.remove(id)
+				s.logger.Warn("session dropped: journal append failed",
+					slog.String("session_id", id), slog.String("error", jerr.Error()))
+				q.fail(http.StatusInternalServerError, "error", "session journal write failed; session dropped")
+				return
 			}
-			e.mu.Unlock()
-			s.sessions.remove(id)
-			s.logger.Warn("session dropped: journal append failed",
-				slog.String("session_id", id), slog.String("error", jerr.Error()))
-			fail(http.StatusInternalServerError, "session journal write failed; session dropped")
-			return
 		}
-	}
-	if advanced {
-		e.lastIdemKey = req.IdempotencyKey
-		e.lastOK = err == nil && verr == nil
+		if advanced {
+			e.lastIdemKey = req.IdempotencyKey
+			e.lastOK = err == nil
+		}
 	}
 	stats := e.snapshotStats()
 	e.touch()
 	e.mu.Unlock()
 	if err != nil {
-		fail(status, msg)
+		q.fail(s.solveError(q.rid, err))
 		return
 	}
-	if verr != nil {
-		s.invalid.Add(1)
-		fail(http.StatusInternalServerError, "solve failed: "+verr.Error())
-		return
+	elapsed := time.Since(q.start)
+	q.ok(sol)
+	if replay {
+		w.Header().Set(idempotentHeader, "replay")
+		q.detail = "idempotent replay"
+	} else {
+		s.sessDeltas.Add(1)
+		s.served(e.solver, sol, elapsed)
 	}
-	s.sessDeltas.Add(1)
-	elapsed := time.Since(start)
-	s.solved.Add(1)
-	s.observeLatency(e.solver, elapsed)
-	s.logSession("delta", id, start, http.StatusOK, fmt.Sprintf("profit=%d", sol.Profit))
 	writeJSON(w, http.StatusOK, sessionResponse{
 		SessionID:     id,
 		Stats:         newSessionStats(stats),
@@ -634,16 +510,15 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	w.Header().Set(cacheHeader, cacheOff)
-	id := r.PathValue("id")
+	q := s.begin(w, "delete")
+	q.session = r.PathValue("id")
+	defer s.logRequest(q)
 	s.sweepSessions()
 
-	e, ok := s.sessions.remove(id)
+	e, ok := s.sessions.remove(q.session)
 	if !ok {
-		s.failures.Add(1)
-		s.logSession("delete", id, start, http.StatusNotFound, "")
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no session %q (expired or never created)", id)})
+		s.reject(q, http.StatusNotFound, fmt.Sprintf("no session %q (expired or never created)", q.session))
 		return
 	}
 	s.sessClosed.Add(1)
@@ -651,17 +526,18 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	// final (remove already folded the last published snapshot into the
 	// store-wide accumulator).
 	e.mu.Lock()
+	q.solver = e.solver
 	stats := e.sess.Stats()
 	if e.journal != nil {
 		// A deliberately closed session must not be resurrected by the next
 		// restart's recovery pass.
 		if rerr := e.journal.Remove(); rerr != nil {
-			s.journalRemoveFailed(id, rerr)
+			s.journalRemoveFailed(q.session, rerr)
 		}
 	}
 	e.mu.Unlock()
-	s.logSession("delete", id, start, http.StatusOK, "")
-	writeJSON(w, http.StatusOK, sessionDeleteResponse{SessionID: id, Stats: newSessionStats(stats)})
+	q.status, q.outcome = http.StatusOK, "closed"
+	writeJSON(w, http.StatusOK, sessionDeleteResponse{SessionID: q.session, Stats: newSessionStats(stats)})
 }
 
 // sessionVars returns the session metrics for /debug/vars.

@@ -334,15 +334,20 @@ func readFrame(raw []byte, off int) (payload []byte, next int, ok bool) {
 // Replay rebuilds the session the journal describes: New on the base
 // instance, then Apply for every journaled delta, in order. By the
 // determinism contract the result is bit-identical to the crashed session's
-// state. Any failure aborts the recovery of this session — a half-replayed
-// session must not serve.
+// state. A delta whose solve failed was journaled all the same, because
+// Apply had already installed its instance and the live session went on
+// from there; replay goes on from there too. Only the last delta's solve
+// must succeed, since the recovered session serves its answer. Any other
+// failure aborts the recovery of this session — a half-replayed session
+// must not serve.
 func (r *Recovered) Replay(ctx context.Context) (*Session, error) {
 	s, err := New(ctx, r.Instance, Options{Solver: r.Solver, Core: r.Core})
 	if err != nil {
 		return nil, fmt.Errorf("journal replay: create: %w", err)
 	}
 	for k, dr := range r.Deltas {
-		if _, err := s.Apply(ctx, dr.Delta); err != nil {
+		before := s.Instance()
+		if _, err := s.Apply(ctx, dr.Delta); err != nil && (s.Instance() == before || k == len(r.Deltas)-1) {
 			return nil, fmt.Errorf("journal replay: delta %d/%d: %w", k+1, len(r.Deltas), err)
 		}
 	}

@@ -366,3 +366,60 @@ func TestJournalAppendFailurePoisons(t *testing.T) {
 		t.Fatalf("sync after poison error %v, want the original ErrInjected", err)
 	}
 }
+
+// TestJournalReplayPastFailedSolve: a journaled delta whose solve failed
+// still moved the live session to its instance, so replay moves on from it
+// and lands where the live session did. A journal that ends on such a
+// delta does not replay: the recovered session would have no answer for
+// its instance.
+func TestJournalReplayPastFailedSolve(t *testing.T) {
+	base := (&model.Instance{
+		Variant: model.Sectors,
+		Customers: []model.Customer{
+			{Theta: 0.1, R: 1, Demand: 1}, {Theta: 0.5, R: 2, Demand: 1}, {Theta: 1.2, R: 1, Demand: 1},
+			{Theta: 3.0, R: 3, Demand: 1}, {Theta: 5.5, R: 2, Demand: 1},
+		},
+		Antennas: []model.Antenna{{Rho: 1.0, Range: 5, Capacity: 3}, {Rho: 1.5, Range: 5, Capacity: 3}},
+	}).Normalize()
+	// unitflow refuses the demand-2 customer; removing it again restores
+	// a unit-demand instance.
+	add := model.Delta{Add: []model.Customer{{Theta: 4.0, R: 1, Demand: 2, Profit: 2}}}
+	remove := model.Delta{Remove: []int{len(base.Customers)}}
+	opt := Options{Solver: "unitflow", Core: core.Options{Seed: 1}}
+
+	replay := func(deltas ...model.Delta) (*Session, error) {
+		path := filepath.Join(t.TempDir(), "s.journal")
+		j, err := CreateJournal(faultfs.OS, path, opt, base, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range deltas {
+			if err := j.AppendDelta(d, fmt.Sprintf("k%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := ReadJournal(faultfs.OS, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.Replay(context.Background())
+	}
+
+	s, err := replay(add, remove)
+	if err != nil {
+		t.Fatalf("replay past a failed solve: %v", err)
+	}
+	want, err := core.SolveUnitFlow(context.Background(), base, opt.Core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, w := solutionString(s.Solution()), solutionString(want); got != w {
+		t.Fatalf("replayed session drifted:\n got  %s\n want %s", got, w)
+	}
+	if _, err := replay(add); err == nil {
+		t.Fatal("a journal ending on a failed solve replayed")
+	}
+}

@@ -241,13 +241,7 @@ func (s *Session) cascade(ctx context.Context, prev []stepRec, ru *reuseInfo) (m
 	as := model.NewAssignment(n, m)
 	sol := model.Solution{Algorithm: "greedy", Assignment: as}
 
-	order := make([]int, m)
-	for j := range order {
-		order[j] = j
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return in.Antennas[order[a]].Capacity > in.Antennas[order[b]].Capacity
-	})
+	order := core.CapacityOrder(in)
 
 	active := make([]bool, n)
 	for i := range active {

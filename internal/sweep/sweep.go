@@ -15,19 +15,18 @@ import (
 	"sync/atomic"
 )
 
-// Each calls fn(worker, i) for i = 0, 1, …, n−1 on up to workers
-// goroutines, where worker ∈ [0, workers) identifies the calling goroutine
-// so fn can index per-worker scratch. Indices are claimed one at a time in
-// ascending order, so a caller that sorts its work by priority gets it
-// started in that order. ctx is consulted before every claim; once it is
-// done no further index is claimed.
+// Each calls fn(i) for i = 0, 1, …, n−1 on up to workers goroutines.
+// Indices are claimed one at a time in ascending order, so a caller that
+// sorts its work by priority gets it started in that order. ctx is
+// consulted before every claim; once it is done no further index is
+// claimed.
 //
 // With workers ≤ 1 (or n ≤ 1) every call runs inline on the caller's
-// goroutine with worker 0 and nothing is spawned.
+// goroutine and nothing is spawned.
 //
 // Each returns the number of indices it started. Claims are in order and
 // every claimed index runs, so the started indices are exactly 0..ran−1.
-func Each(ctx context.Context, n, workers int, fn func(worker, i int)) (ran int) {
+func Each(ctx context.Context, n, workers int, fn func(i int)) (ran int) {
 	if workers > n {
 		workers = n
 	}
@@ -36,14 +35,14 @@ func Each(ctx context.Context, n, workers int, fn func(worker, i int)) (ran int)
 			if ctx.Err() != nil {
 				return i
 			}
-			fn(0, i)
+			fn(i)
 		}
 		return n
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		go func() {
 			defer wg.Done()
 			for {
@@ -54,7 +53,7 @@ func Each(ctx context.Context, n, workers int, fn func(worker, i int)) (ran int)
 				if i >= n {
 					return
 				}
-				fn(w, i)
+				fn(i)
 			}
 		}()
 	}
@@ -89,7 +88,7 @@ func Run[T any](ctx context.Context, jobs []Job[T], workers int) ([]T, error) {
 		firstErr error
 		induced  bool // firstErr is a context.Canceled caused by cancel
 	)
-	Each(ctx, len(jobs), workers, func(_, idx int) {
+	Each(ctx, len(jobs), workers, func(idx int) {
 		res, err := jobs[idx](ctx)
 		if err == nil {
 			results[idx] = res

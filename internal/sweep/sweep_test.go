@@ -172,10 +172,7 @@ func TestRunCallerCancelIsNotInduced(t *testing.T) {
 // exactly once.
 func TestEachClaimsInOrder(t *testing.T) {
 	var seen []int
-	ran := Each(context.Background(), 10, 1, func(w, i int) {
-		if w != 0 {
-			t.Errorf("inline worker id %d, want 0", w)
-		}
+	ran := Each(context.Background(), 10, 1, func(i int) {
 		seen = append(seen, i) // no lock: the inline path spawns nothing
 	})
 	if ran != 10 {
@@ -189,10 +186,7 @@ func TestEachClaimsInOrder(t *testing.T) {
 
 	const n, workers = 1000, 4
 	var hits [n]atomic.Int32
-	if ran := Each(context.Background(), n, workers, func(w, i int) {
-		if w < 0 || w >= workers {
-			t.Errorf("worker id %d outside [0, %d)", w, workers)
-		}
+	if ran := Each(context.Background(), n, workers, func(i int) {
 		hits[i].Add(1)
 	}); ran != n {
 		t.Fatalf("ran = %d, want %d", ran, n)
@@ -211,7 +205,7 @@ func TestEachStopsClaimingOnCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		const n, stopAt = 200, 20
 		var started [n]atomic.Bool
-		ran := Each(ctx, n, workers, func(_, i int) {
+		ran := Each(ctx, n, workers, func(i int) {
 			started[i].Store(true)
 			if i == stopAt {
 				cancel()
@@ -235,7 +229,7 @@ func TestScalarVsParallelEach(t *testing.T) {
 	const n = 5000
 	fill := func(workers int) []int {
 		out := make([]int, n)
-		Each(context.Background(), n, workers, func(_, i int) { out[i] = i*i ^ 0x5bd1 })
+		Each(context.Background(), n, workers, func(i int) { out[i] = i*i ^ 0x5bd1 })
 		return out
 	}
 	scalar, parallel := fill(1), fill(8)
